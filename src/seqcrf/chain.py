@@ -2,9 +2,12 @@
 
 The chain distribution is Gibbs: P(h | x) proportional to
 exp(sum_j score[j, h_j] + sum_j trans[h_j, h_{j+1}]), with one shared
-transition matrix across all adjacent pairs.  Everything runs in the log
-domain with max-shifted log-sum-exp, so score magnitudes up to a few
-hundred cause no overflow.
+transition matrix across all adjacent pairs.  One message pass serves
+marginals, the masked (restricted) chain and the adjoint: alpha/beta run
+in the log domain with a plain-numpy max-shifted log-sum-exp, so score
+magnitudes up to a few hundred cause no overflow, and the messages are
+returned with the posteriors so that ``fb_adjoint`` reuses them instead
+of recomputing them.
 
 Conventions: trans[a, b] scores a transition from state a at position j
 to state b at position j+1; edge_marginals[j, a, b] = P(h_j=a, h_{j+1}=b).
@@ -14,18 +17,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 BRUTE_FORCE_LIMIT = 10**6
 
 
 @dataclass
 class ChainPosteriors:
-    """Partition function and exact marginals of the chain."""
+    """Partition function, exact marginals and the messages behind them.
+
+    log_alpha[j] sums paths over frames 0..j (scores of j included);
+    log_beta[j] sums frames j+1..T-1.  Enumeration leaves them None.
+    """
 
     log_z: float
     node_marginals: np.ndarray  # (T, H)
     edge_marginals: np.ndarray  # (T-1, H, H)
+    log_alpha: np.ndarray | None = None  # (T, H)
+    log_beta: np.ndarray | None = None  # (T, H)
 
 
 def _check_finite(name: str, arr: np.ndarray) -> None:
@@ -33,41 +41,31 @@ def _check_finite(name: str, arr: np.ndarray) -> None:
         raise ValueError(f"{name} must be finite")
 
 
-def _alpha_beta(scores: np.ndarray, trans: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Forward/backward log messages; tolerates -inf entries in scores."""
+def _logsumexp(x: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """Max-shifted log-sum-exp; each reduced slice needs one finite entry."""
+    m = x.max(axis=axis, keepdims=True)
+    return np.log(np.exp(x - m).sum(axis=axis)) + np.squeeze(m, axis=axis)
+
+
+def _posteriors(scores: np.ndarray, trans: np.ndarray) -> ChainPosteriors:
+    """Forward/backward log messages and the marginals they give.
+
+    Tolerates -inf entries in scores as long as every frame keeps a
+    finite one, so every max below is finite.
+    """
     t, h = scores.shape
     log_alpha = np.empty((t, h))
     log_alpha[0] = scores[0]
     for j in range(1, t):
-        log_alpha[j] = scores[j] + logsumexp(log_alpha[j - 1][:, None] + trans, axis=0)
+        log_alpha[j] = scores[j] + _logsumexp(log_alpha[j - 1][:, None] + trans, axis=0)
     log_beta = np.zeros((t, h))
     for j in range(t - 2, -1, -1):
-        log_beta[j] = logsumexp(
-            trans + scores[j + 1][None, :] + log_beta[j + 1][None, :], axis=1
-        )
-    log_z = float(logsumexp(log_alpha[t - 1]))
-    return log_alpha, log_beta, log_z
-
-
-def _posteriors_from_messages(
-    scores: np.ndarray,
-    trans: np.ndarray,
-    log_alpha: np.ndarray,
-    log_beta: np.ndarray,
-    log_z: float,
-) -> ChainPosteriors:
-    t, h = scores.shape
+        log_beta[j] = _logsumexp(trans + (scores[j + 1] + log_beta[j + 1])[None, :], axis=1)
+    log_z = float(_logsumexp(log_alpha[t - 1]))
     node = np.exp(log_alpha + log_beta - log_z)
-    edge = np.empty((max(t - 1, 0), h, h))
-    for j in range(t - 1):
-        edge[j] = np.exp(
-            log_alpha[j][:, None]
-            + trans
-            + scores[j + 1][None, :]
-            + log_beta[j + 1][None, :]
-            - log_z
-        )
-    return ChainPosteriors(log_z=log_z, node_marginals=node, edge_marginals=edge)
+    ahead = scores[1:] + log_beta[1:]  # (T-1, H): frame j+1 and everything after it
+    edge = np.exp(log_alpha[:-1, :, None] + trans + ahead[:, None, :] - log_z)
+    return ChainPosteriors(log_z, node, edge, log_alpha, log_beta)
 
 
 def forward_backward(node_scores: np.ndarray, trans_weights: np.ndarray) -> ChainPosteriors:
@@ -76,8 +74,7 @@ def forward_backward(node_scores: np.ndarray, trans_weights: np.ndarray) -> Chai
     trans_weights = np.asarray(trans_weights, dtype=np.float64)
     _check_finite("node_scores", node_scores)
     _check_finite("trans_weights", trans_weights)
-    log_alpha, log_beta, log_z = _alpha_beta(node_scores, trans_weights)
-    return _posteriors_from_messages(node_scores, trans_weights, log_alpha, log_beta, log_z)
+    return _posteriors(node_scores, trans_weights)
 
 
 def masked_forward_backward(
@@ -97,23 +94,14 @@ def masked_forward_backward(
         raise ValueError("allowed mask must match node_scores shape")
     if not np.all(allowed.any(axis=1)):
         raise ValueError("every frame needs at least one allowed state")
-    masked = np.where(allowed, node_scores, -np.inf)
-    log_alpha, log_beta, log_z = _alpha_beta(masked, trans_weights)
-    return _posteriors_from_messages(masked, trans_weights, log_alpha, log_beta, log_z)
+    return _posteriors(np.where(allowed, node_scores, -np.inf), trans_weights)
 
 
 def restricted_log_partition(
     node_scores: np.ndarray, trans_weights: np.ndarray, allowed: np.ndarray
 ) -> float:
     """Log of the summed Gibbs weight over paths staying inside ``allowed``."""
-    node_scores = np.asarray(node_scores, dtype=np.float64)
-    allowed = np.asarray(allowed, dtype=bool)
-    _check_finite("node_scores", node_scores)
-    if not np.all(allowed.any(axis=1)):
-        raise ValueError("every frame needs at least one allowed state")
-    masked = np.where(allowed, node_scores, -np.inf)
-    _, _, log_z = _alpha_beta(masked, np.asarray(trans_weights, dtype=np.float64))
-    return log_z
+    return masked_forward_backward(node_scores, trans_weights, allowed).log_z
 
 
 def brute_force_posteriors(
@@ -133,7 +121,7 @@ def brute_force_posteriors(
         log_w += node_scores[j, paths[:, j]]
     for j in range(t - 1):
         log_w += trans_weights[paths[:, j], paths[:, j + 1]]
-    log_z = float(logsumexp(log_w))
+    log_z = float(_logsumexp(log_w))
     w = np.exp(log_w - log_z)
     node = np.empty((t, h))
     for j in range(t):
@@ -169,13 +157,17 @@ def fb_adjoint(
     node_scores: np.ndarray,
     trans_weights: np.ndarray,
     grad_node_marginals: np.ndarray,
+    posteriors: ChainPosteriors,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pull an upstream gradient on node marginals back onto the potentials.
 
-    Given dL/d(node_marginals) for any scalar L, returns the exact
-    dL/d(node_scores) and dL/d(trans_weights) by reversing the
-    forward-backward recursions.  Cost O(T * H^2); all softmax weights
-    are formed from differences of log messages, so no underflow.
+    Given dL/d(node_marginals) for any scalar L, and the ``posteriors``
+    that ``forward_backward(node_scores, trans_weights)`` returned,
+    returns the exact dL/d(node_scores) and dL/d(trans_weights) by
+    reversing that pass's recursions over its own messages (nothing is
+    recomputed).  Cost O(T * H^2).  Each sweep's softmax weights come
+    from differences of log messages in one exp, so they cannot
+    underflow; the loops carry only one vector-matrix product per frame.
     """
     node_scores = np.asarray(node_scores, dtype=np.float64)
     trans_weights = np.asarray(trans_weights, dtype=np.float64)
@@ -185,46 +177,36 @@ def fb_adjoint(
     _check_finite("grad_node_marginals", upstream)
     if upstream.shape != node_scores.shape:
         raise ValueError("upstream gradient must match node_scores shape")
+    log_alpha, log_beta = posteriors.log_alpha, posteriors.log_beta
+    if (log_alpha is None or log_alpha.shape != node_scores.shape
+            or not np.all(np.isfinite(log_alpha))):
+        raise ValueError("posteriors must be forward_backward's output for node_scores")
 
-    t, h = node_scores.shape
-    log_alpha, log_beta, log_z = _alpha_beta(node_scores, trans_weights)
-    marg = np.exp(log_alpha + log_beta - log_z)
-
+    t = node_scores.shape[0]
+    marg = posteriors.node_marginals
     weighted = upstream * marg
-    alpha_bar = weighted.copy()
-    beta_bar = weighted.copy()
-    log_z_bar = -float(np.sum(weighted))
-    alpha_bar[t - 1] += log_z_bar * np.exp(log_alpha[t - 1] - log_z)
-
-    grad_scores = np.zeros((t, h))
-    grad_trans = np.zeros((h, h))
 
     # reverse sweep of the backward recursion (computed from t-2 down to 0,
-    # so adjoints propagate 0 -> t-2); row-softmax weights sum to 1
+    # so adjoints propagate 0 -> t-2) through the row-softmax weights
+    # r[j, a, b] = P(h_{j+1}=b | h_j=a); beta_bar = weighted + carry
+    r = np.exp(
+        trans_weights + (node_scores[1:] + log_beta[1:])[:, None, :] - log_beta[:-1, :, None]
+    )
+    carry = np.zeros_like(weighted)
     for j in range(t - 1):
-        r = np.exp(
-            trans_weights
-            + node_scores[j + 1][None, :]
-            + log_beta[j + 1][None, :]
-            - log_beta[j][:, None]
-        )
-        w = beta_bar[j][:, None] * r
-        grad_trans += w
-        col = w.sum(axis=0)
-        grad_scores[j + 1] += col
-        beta_bar[j + 1] += col
+        carry[j + 1] = (weighted[j] + carry[j]) @ r[j]
+    grad_trans = np.einsum("ja,jab->ab", weighted[:-1] + carry[:-1], r)
 
-    # reverse sweep of the forward recursion; column-softmax weights
+    # reverse sweep of the forward recursion through the column-softmax
+    # weights q[j-1, a, b] = P(h_{j-1}=a | h_j=b, frames 0..j); log Z's
+    # adjoint enters at the last frame
+    q = np.exp(
+        log_alpha[:-1, :, None] + trans_weights - (log_alpha[1:] - node_scores[1:])[:, None, :]
+    )
+    alpha_bar = weighted.copy()
+    alpha_bar[t - 1] -= float(np.sum(weighted)) * marg[t - 1]
     for j in range(t - 1, 0, -1):
-        q = np.exp(
-            log_alpha[j - 1][:, None]
-            + trans_weights
-            - (log_alpha[j] - node_scores[j])[None, :]
-        )
-        w = q * alpha_bar[j][None, :]
-        grad_trans += w
-        grad_scores[j] += alpha_bar[j]
-        alpha_bar[j - 1] += w.sum(axis=1)
-    grad_scores[0] += alpha_bar[0]
+        alpha_bar[j - 1] += q[j - 1] @ alpha_bar[j]
+    grad_trans += np.einsum("jab,jb->ab", q, alpha_bar[1:])
 
-    return grad_scores, grad_trans
+    return carry + alpha_bar, grad_trans

@@ -9,7 +9,7 @@ Exit codes:
     0  success
     1  unexpected internal error
     2  invalid usage or configuration (including bad config-file keys)
-    3  file or dataset I/O failure
+    3  file I/O failure, or a malformed dataset or checkpoint file
     4  training diverged (partial report still written when possible)
     5  gradient check exceeded the threshold
 """

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence as SequenceT
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .seqdata import collapse
 
@@ -161,5 +160,5 @@ def ctc_log_prob(q: np.ndarray, z: SequenceT[int], blank_id: int) -> float:
 
 
 def frame_posterior_check(tables: CtcTables) -> np.ndarray:
-    """Per-frame logsumexp of alpha+beta; equals log_prob at every frame."""
-    return logsumexp(tables.log_alpha + tables.log_beta, axis=1)
+    """Per-frame log-sum-exp of alpha+beta; equals log_prob at every frame."""
+    return np.logaddexp.reduce(tables.log_alpha + tables.log_beta, axis=1)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqdata import LabelSet, Sequence, atomic_write_text
+from .seqdata import DatasetFormatError, LabelSet, Sequence, atomic_write_text
 
 
 @dataclass(frozen=True)
@@ -250,5 +250,12 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "Checkpoint":
+        """Read a checkpoint file; a malformed one raises DatasetFormatError."""
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+            text = fh.read()
+        try:
+            return cls.from_json(text)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DatasetFormatError(
+                f"checkpoint {path} is malformed: {type(exc).__name__}: {exc}"
+            ) from exc

@@ -24,7 +24,8 @@ SEGMENTS_META_PREFIX = "segments/"
 
 
 class DatasetFormatError(ValueError):
-    """Raised when a dataset file or in-memory dataset violates the format."""
+    """Raised when a dataset or checkpoint file, or an in-memory dataset,
+    violates its format."""
 
 
 # ---------------------------------------------------------------------------

@@ -237,8 +237,7 @@ def ctc_ldcrf_loss_and_grad(
         obs = observation_matrix(seq, feature_config)
         scores = node_scores_from_obs(obs, params)
         post = forward_backward(scores, params.trans_weights)
-        forward.append((seq, obs, scores, post.node_marginals,
-                        frame_label_marginals(post, hidden_map)))
+        forward.append((seq, obs, scores, post, frame_label_marginals(post, hidden_map)))
     # per-label factor on q; also scales the error table, since the prior
     # is a constant for the gradient
     if label_prior:
@@ -247,7 +246,7 @@ def ctc_ldcrf_loss_and_grad(
         scale = np.ones(hidden_map.num_labels)
     loss = 0.0
     used = 0
-    for seq, obs, scores, mu, q in forward:
+    for seq, obs, scores, post, q in forward:
         q_norm = q * scale
         try:
             tables = ctc_forward_backward(q_norm, seq.label_seq, blank_id)
@@ -261,8 +260,9 @@ def ctc_ldcrf_loss_and_grad(
         loss -= tables.log_prob
         err = ctc_error_table(tables, q_norm) * scale  # d log P / d q, (T, L)
         upstream = -err[:, owner]  # d loss / d mu, (T, H)
-        g_scores, g_trans = fb_adjoint(scores, params.trans_weights, upstream)
+        g_scores, g_trans = fb_adjoint(scores, params.trans_weights, upstream, post)
         if grad_mode == "local":
+            mu = post.node_marginals
             inner = np.sum(upstream * mu, axis=1, keepdims=True)
             g_scores = mu * (upstream - inner)
         grad_state += g_scores.T @ obs
@@ -332,15 +332,20 @@ def _run_sgd(
     """Mini-batch gradient descent with momentum; mutates nothing it is given.
 
     The step uses the batch-mean gradient so the learning rate keeps its
-    meaning for partial batches.  Batch accumulation order follows the
-    shuffled order, which is deterministic for a fixed generator state.
+    meaning for partial batches.  The step size holds at the configured
+    rate for the first half of the stage's epochs, then decays linearly to
+    rate * 2 / epochs in the last one, so that the weights settle instead
+    of wandering with the batch noise; stages of one or two epochs keep
+    the full rate.  Batch accumulation order follows the shuffled order,
+    which is deterministic for a fixed generator state.
     """
     n = len(sequences)
     theta = theta.copy()
     velocity = np.zeros_like(theta)
     losses: list[float] = []
     norms: list[float] = []
-    for _ in range(epochs):
+    for epoch in range(epochs):
+        lr = config.learning_rate * min(1.0, 2 * (epochs - epoch) / epochs)
         order = shuffle_rng.permutation(n)
         epoch_loss = 0.0
         batch_norms: list[float] = []
@@ -367,7 +372,7 @@ def _run_sgd(
             if not np.isfinite(loss):
                 return _StageResult(theta, losses, norms, True)
             step_grad = grad / len(batch)
-            velocity = config.momentum * velocity - config.learning_rate * step_grad
+            velocity = config.momentum * velocity - lr * step_grad
             theta = theta + velocity
             epoch_loss += loss
             batch_norms.append(float(np.linalg.norm(step_grad)))

@@ -25,6 +25,28 @@ def all_paths(t, h):
     return itertools.product(range(h), repeat=t)
 
 
+def _lse(x, axis):
+    m = x.max(axis=axis, keepdims=True)
+    return np.log(np.exp(x - m).sum(axis=axis)) + np.squeeze(m, axis=axis)
+
+
+def longdouble_forward_backward(scores, trans):
+    """Reference log Z and node marginals: the plain log-domain recursion
+    in extended precision, one frame at a time; -inf scores mask states."""
+    scores = np.asarray(scores, dtype=np.longdouble)
+    trans = np.asarray(trans, dtype=np.longdouble)
+    t, h = scores.shape
+    alpha = np.empty((t, h), dtype=np.longdouble)
+    beta = np.zeros((t, h), dtype=np.longdouble)
+    alpha[0] = scores[0]
+    for j in range(1, t):
+        alpha[j] = scores[j] + _lse(alpha[j - 1][:, None] + trans, axis=0)
+    for j in range(t - 2, -1, -1):
+        beta[j] = _lse(trans + (scores[j + 1] + beta[j + 1])[None, :], axis=1)
+    log_z = _lse(alpha[t - 1], axis=0)
+    return log_z, np.exp(alpha + beta - log_z)
+
+
 class TestForwardBackward:
     def test_hand_computed_two_frames(self):
         scores = np.array([[0.1, -0.3], [0.2, 0.5]])
@@ -124,6 +146,65 @@ class TestMaskedForwardBackward:
         with pytest.raises(ValueError):
             masked_forward_backward(np.zeros((3, 2)), np.zeros((2, 2)), allowed)
 
+    def test_restricted_log_partition_rejects_broadcast_mask(self):
+        with pytest.raises(ValueError):
+            restricted_log_partition(np.zeros((3, 2)), np.zeros((2, 2)), np.ones((3, 1), bool))
+
+    def test_restricted_log_partition_rejects_nan_transitions(self):
+        trans = np.zeros((2, 2))
+        trans[0, 1] = np.nan
+        with pytest.raises(ValueError):
+            restricted_log_partition(np.zeros((3, 2)), trans, np.ones((3, 2), bool))
+
+
+class TestLongChains:
+    """Exactness at T = 10^4 against an extended-precision recursion.
+
+    log Z must agree to 1e-12 relative; marginals to
+    max(1e-9, 4 sqrt(T) eps |log Z|), the rounding a float64 recursion
+    of this length accumulates.
+    """
+
+    T = 10**4
+
+    @pytest.fixture(params=[(14, 500.0), (4, 1.0)], ids=["h14-scale500", "h4-scale1"])
+    def chain(self, request):
+        h, scale = request.param
+        rng = np.random.default_rng(h)
+        scores = rng.uniform(-scale, scale, size=(self.T, h))
+        trans = rng.uniform(-scale, scale, size=(h, h))
+        allowed = rng.random((self.T, h)) < 0.5
+        allowed[np.arange(self.T), rng.integers(0, h, size=self.T)] = True
+        return scores, trans, allowed
+
+    def check(self, post, scores, trans):
+        log_z, node = longdouble_forward_backward(scores, trans)
+        assert abs(post.log_z - log_z) <= 1e-12 * abs(log_z)
+        bound = max(1e-9, 4 * math.sqrt(self.T) * np.finfo(float).eps * abs(float(log_z)))
+        assert float(np.max(np.abs(post.node_marginals - node))) <= bound
+
+    def test_free_chain(self, chain):
+        scores, trans, _ = chain
+        self.check(forward_backward(scores, trans), scores, trans)
+
+    def test_masked_chain(self, chain):
+        scores, trans, allowed = chain
+        post = masked_forward_backward(scores, trans, allowed)
+        self.check(post, np.where(allowed, scores, -np.inf), trans)
+        assert np.all(post.node_marginals[~allowed] == 0.0)
+
+    def test_constant_upstream_gives_zero_adjoint(self, chain):
+        # each sweep carries up to c*T per frame, and c*T^2 into the
+        # transition gradient, that must cancel to zero; the log messages'
+        # relative rounding is the marginal bound above
+        scores, trans, _ = chain
+        c = 2.7
+        post = forward_backward(scores, trans)
+        g_scores, g_trans = fb_adjoint(scores, trans, np.full(scores.shape, c), post)
+        rel = 4 * math.sqrt(self.T) * np.finfo(float).eps * abs(post.log_z)
+        assert float(np.max(np.abs(g_scores))) <= rel * c * self.T
+        assert float(np.max(np.abs(g_trans))) <= rel * c * self.T**2
+
 
 class TestViterbi:
     def test_matches_enumeration(self):
@@ -160,7 +241,9 @@ class TestAdjoint:
             scores = rng.normal(size=(t, h))
             trans = rng.normal(size=(h, h))
             upstream = rng.normal(size=(t, h))
-            g_scores, g_trans = fb_adjoint(scores, trans, upstream)
+            g_scores, g_trans = fb_adjoint(
+                scores, trans, upstream, forward_backward(scores, trans)
+            )
             for idx in np.ndindex(t, h):
                 hi = scores.copy()
                 hi[idx] += step
@@ -183,7 +266,9 @@ class TestAdjoint:
         rng = np.random.default_rng(42)
         scores = rng.normal(size=(5, 3))
         trans = rng.normal(size=(3, 3))
-        g_scores, g_trans = fb_adjoint(scores, trans, np.full((5, 3), 2.7))
+        g_scores, g_trans = fb_adjoint(
+            scores, trans, np.full((5, 3), 2.7), forward_backward(scores, trans)
+        )
         np.testing.assert_allclose(g_scores, 0.0, atol=1e-12)
         np.testing.assert_allclose(g_trans, 0.0, atol=1e-12)
 
@@ -192,10 +277,25 @@ class TestAdjoint:
         upstream = np.array([[1.0, -2.0, 0.5]])
         mu = np.exp(scores[0]) / np.exp(scores[0]).sum()
         expect = mu * (upstream[0] - float(upstream[0] @ mu))
-        g_scores, g_trans = fb_adjoint(scores, np.zeros((3, 3)), upstream)
+        trans = np.zeros((3, 3))
+        g_scores, g_trans = fb_adjoint(scores, trans, upstream, forward_backward(scores, trans))
         np.testing.assert_allclose(g_scores[0], expect, atol=1e-12)
         np.testing.assert_allclose(g_trans, 0.0, atol=1e-12)
 
     def test_shape_mismatch_raises(self):
+        scores, trans = np.zeros((3, 2)), np.zeros((2, 2))
+        post = forward_backward(scores, trans)
         with pytest.raises(ValueError):
-            fb_adjoint(np.zeros((3, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
+            fb_adjoint(scores, trans, np.zeros((2, 2)), post)
+        with pytest.raises(ValueError):
+            fb_adjoint(scores, trans, np.zeros((3, 2)), forward_backward(scores[:2], trans))
+
+    def test_rejects_masked_or_enumerated_posteriors(self):
+        # a masked pass has -inf messages and enumeration has none; either
+        # would turn the sweeps' weights into NaN or fail late
+        scores, trans = np.zeros((3, 2)), np.zeros((2, 2))
+        allowed = np.array([[True, False], [True, True], [True, True]])
+        for post in (masked_forward_backward(scores, trans, allowed),
+                     brute_force_posteriors(scores, trans)):
+            with pytest.raises(ValueError):
+                fb_adjoint(scores, trans, np.ones((3, 2)), post)

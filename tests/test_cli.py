@@ -171,6 +171,19 @@ class TestEvalAndDecode:
                    "--model", str(tmp_path / "ghost.json"))
         assert code == EXIT_IO
 
+    def test_checkpoint_missing_key_is_io_error(self, tiny_data, trained, capsys):
+        payload = json.loads(trained.read_text())
+        del payload["theta"]
+        trained.write_text(json.dumps(payload))
+        code = run("eval", "--data", str(tiny_data), "--model", str(trained))
+        assert code == EXIT_IO
+        assert "theta" in capsys.readouterr().err
+
+    def test_truncated_checkpoint_is_io_error(self, tiny_data, trained):
+        trained.write_text(trained.read_text()[:40])
+        code = run("decode", "--data", str(tiny_data), "--model", str(trained))
+        assert code == EXIT_IO
+
     def test_decode_emits_frame_and_segment_labels(self, tiny_data, trained, tmp_path):
         out = tmp_path / "decoded.json"
         code = run("decode", "--data", str(tiny_data), "--model", str(trained),
