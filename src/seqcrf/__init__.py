@@ -10,7 +10,6 @@ case of the same machinery.
 
 from .chain import (
     ChainPosteriors,
-    brute_force_posteriors,
     fb_adjoint,
     forward_backward,
     masked_forward_backward,
@@ -23,7 +22,6 @@ from .ctc import (
     best_path_decode,
     ctc_error_table,
     ctc_forward_backward,
-    ctc_log_prob,
     min_frames_required,
 )
 from .features import (
@@ -96,13 +94,11 @@ __all__ = [
     "TrainingDivergedError",
     "augment_with_blanks",
     "best_path_decode",
-    "brute_force_posteriors",
     "collapse",
     "confusion_matrix",
     "ctc_error_table",
     "ctc_forward_backward",
     "ctc_ldcrf_loss_and_grad",
-    "ctc_log_prob",
     "decode_frames",
     "decode_frames_viterbi",
     "evaluate",

@@ -3,14 +3,16 @@
 The chain distribution is Gibbs: P(h | x) proportional to
 exp(sum_j score[j, h_j] + sum_j trans[h_j, h_{j+1}]), with one shared
 transition matrix across all adjacent pairs.  One message pass serves
-marginals, the masked (restricted) chain and the adjoint: alpha/beta run
-in the log domain with a plain-numpy max-shifted log-sum-exp, so score
-magnitudes up to a few hundred cause no overflow, and the messages are
-returned with the posteriors so that ``fb_adjoint`` reuses them instead
-of recomputing them.
+node marginals, the masked (restricted) chain, expected transition
+counts and the adjoint: alpha/beta run in the log domain with a
+plain-numpy max-shifted log-sum-exp, so score magnitudes up to a few
+hundred cause no overflow, and the messages are returned with the
+posteriors so that ``transition_counts`` and ``fb_adjoint`` reuse them
+instead of recomputing them.  No pass builds a per-frame (T-1, H, H)
+edge table; only ``transition_counts`` forms one, summed on the spot.
 
 Conventions: trans[a, b] scores a transition from state a at position j
-to state b at position j+1; edge_marginals[j, a, b] = P(h_j=a, h_{j+1}=b).
+to state b at position j+1.
 """
 from __future__ import annotations
 
@@ -18,27 +20,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-BRUTE_FORCE_LIMIT = 10**6
-
 
 @dataclass
 class ChainPosteriors:
-    """Partition function, exact marginals and the messages behind them.
+    """Partition function, exact node marginals and the messages behind them.
 
+    node_scores are the scores the pass ran on, -inf on masked states;
     log_alpha[j] sums paths over frames 0..j (scores of j included);
-    log_beta[j] sums frames j+1..T-1.  Enumeration leaves them None.
+    log_beta[j] sums frames j+1..T-1.
     """
 
     log_z: float
     node_marginals: np.ndarray  # (T, H)
-    edge_marginals: np.ndarray  # (T-1, H, H)
-    log_alpha: np.ndarray | None = None  # (T, H)
-    log_beta: np.ndarray | None = None  # (T, H)
+    node_scores: np.ndarray  # (T, H)
+    log_alpha: np.ndarray  # (T, H)
+    log_beta: np.ndarray  # (T, H)
 
 
-def _check_finite(name: str, arr: np.ndarray) -> None:
+def _finite(name: str, arr: np.ndarray) -> np.ndarray:
+    """``arr`` as float64; raises ValueError unless every entry is finite."""
+    arr = np.asarray(arr, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
+    return arr
 
 
 def _logsumexp(x: np.ndarray, axis: int | None = None) -> np.ndarray:
@@ -63,17 +67,13 @@ def _posteriors(scores: np.ndarray, trans: np.ndarray) -> ChainPosteriors:
         log_beta[j] = _logsumexp(trans + (scores[j + 1] + log_beta[j + 1])[None, :], axis=1)
     log_z = float(_logsumexp(log_alpha[t - 1]))
     node = np.exp(log_alpha + log_beta - log_z)
-    ahead = scores[1:] + log_beta[1:]  # (T-1, H): frame j+1 and everything after it
-    edge = np.exp(log_alpha[:-1, :, None] + trans + ahead[:, None, :] - log_z)
-    return ChainPosteriors(log_z, node, edge, log_alpha, log_beta)
+    return ChainPosteriors(log_z, node, scores, log_alpha, log_beta)
 
 
 def forward_backward(node_scores: np.ndarray, trans_weights: np.ndarray) -> ChainPosteriors:
-    """Exact log partition function plus node and edge marginals."""
-    node_scores = np.asarray(node_scores, dtype=np.float64)
-    trans_weights = np.asarray(trans_weights, dtype=np.float64)
-    _check_finite("node_scores", node_scores)
-    _check_finite("trans_weights", trans_weights)
+    """Exact log partition function plus node marginals."""
+    node_scores = _finite("node_scores", node_scores)
+    trans_weights = _finite("trans_weights", trans_weights)
     return _posteriors(node_scores, trans_weights)
 
 
@@ -85,11 +85,9 @@ def masked_forward_backward(
     Disallowed states receive zero marginal mass exactly; log_z is the
     log partition of the restricted chain.
     """
-    node_scores = np.asarray(node_scores, dtype=np.float64)
-    trans_weights = np.asarray(trans_weights, dtype=np.float64)
+    node_scores = _finite("node_scores", node_scores)
+    trans_weights = _finite("trans_weights", trans_weights)
     allowed = np.asarray(allowed, dtype=bool)
-    _check_finite("node_scores", node_scores)
-    _check_finite("trans_weights", trans_weights)
     if allowed.shape != node_scores.shape:
         raise ValueError("allowed mask must match node_scores shape")
     if not np.all(allowed.any(axis=1)):
@@ -97,48 +95,22 @@ def masked_forward_backward(
     return _posteriors(np.where(allowed, node_scores, -np.inf), trans_weights)
 
 
-def restricted_log_partition(
-    node_scores: np.ndarray, trans_weights: np.ndarray, allowed: np.ndarray
-) -> float:
-    """Log of the summed Gibbs weight over paths staying inside ``allowed``."""
-    return masked_forward_backward(node_scores, trans_weights, allowed).log_z
+def transition_counts(posteriors: ChainPosteriors, trans_weights: np.ndarray) -> np.ndarray:
+    """Expected transition counts sum_j P(h_j=a, h_{j+1}=b), an (H, H) table.
 
-
-def brute_force_posteriors(
-    node_scores: np.ndarray, trans_weights: np.ndarray
-) -> ChainPosteriors:
-    """Posteriors by enumerating every hidden path; test oracle only."""
-    node_scores = np.asarray(node_scores, dtype=np.float64)
-    trans_weights = np.asarray(trans_weights, dtype=np.float64)
-    t, h = node_scores.shape
-    n_paths = h**t
-    if n_paths > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"instance too large to enumerate: {h}^{t} paths")
-    idx = np.arange(n_paths)
-    paths = (idx[:, None] // h ** np.arange(t - 1, -1, -1)) % h  # (N, T), base-h digits
-    log_w = np.zeros(n_paths)
-    for j in range(t):
-        log_w += node_scores[j, paths[:, j]]
-    for j in range(t - 1):
-        log_w += trans_weights[paths[:, j], paths[:, j + 1]]
-    log_z = float(_logsumexp(log_w))
-    w = np.exp(log_w - log_z)
-    node = np.empty((t, h))
-    for j in range(t):
-        node[j] = np.bincount(paths[:, j], weights=w, minlength=h)
-    edge = np.empty((max(t - 1, 0), h, h))
-    for j in range(t - 1):
-        flat = paths[:, j] * h + paths[:, j + 1]
-        edge[j] = np.bincount(flat, weights=w, minlength=h * h).reshape(h, h)
-    return ChainPosteriors(log_z=log_z, node_marginals=node, edge_marginals=edge)
+    This is the gradient of log Z with respect to ``trans_weights``, which
+    must be the transitions the ``posteriors`` were computed with.
+    """
+    p = posteriors
+    ahead = p.node_scores[1:] + p.log_beta[1:]  # (T-1, H): frame j+1 and everything after it
+    edges = np.exp(p.log_alpha[:-1, :, None] + trans_weights + ahead[:, None, :] - p.log_z)
+    return edges.sum(axis=0)
 
 
 def viterbi(node_scores: np.ndarray, trans_weights: np.ndarray) -> tuple[np.ndarray, float]:
     """Max-score hidden path and its score; ties go to the lower state index."""
-    node_scores = np.asarray(node_scores, dtype=np.float64)
-    trans_weights = np.asarray(trans_weights, dtype=np.float64)
-    _check_finite("node_scores", node_scores)
-    _check_finite("trans_weights", trans_weights)
+    node_scores = _finite("node_scores", node_scores)
+    trans_weights = _finite("trans_weights", trans_weights)
     t, h = node_scores.shape
     delta = node_scores[0].copy()
     back = np.zeros((t, h), dtype=np.int64)
@@ -169,17 +141,13 @@ def fb_adjoint(
     from differences of log messages in one exp, so they cannot
     underflow; the loops carry only one vector-matrix product per frame.
     """
-    node_scores = np.asarray(node_scores, dtype=np.float64)
-    trans_weights = np.asarray(trans_weights, dtype=np.float64)
-    upstream = np.asarray(grad_node_marginals, dtype=np.float64)
-    _check_finite("node_scores", node_scores)
-    _check_finite("trans_weights", trans_weights)
-    _check_finite("grad_node_marginals", upstream)
+    node_scores = _finite("node_scores", node_scores)
+    trans_weights = _finite("trans_weights", trans_weights)
+    upstream = _finite("grad_node_marginals", grad_node_marginals)
     if upstream.shape != node_scores.shape:
         raise ValueError("upstream gradient must match node_scores shape")
     log_alpha, log_beta = posteriors.log_alpha, posteriors.log_beta
-    if (log_alpha is None or log_alpha.shape != node_scores.shape
-            or not np.all(np.isfinite(log_alpha))):
+    if log_alpha.shape != node_scores.shape or not np.all(np.isfinite(log_alpha)):
         raise ValueError("posteriors must be forward_backward's output for node_scores")
 
     t = node_scores.shape[0]

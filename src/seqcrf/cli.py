@@ -10,12 +10,14 @@ Exit codes:
     1  unexpected internal error
     2  invalid usage or configuration (including bad config-file keys)
     3  file I/O failure, or a malformed dataset or checkpoint file
-    4  training diverged (partial report still written when possible)
+    4  training diverged or an epoch skipped every batch (partial report
+       still written when possible)
     5  gradient check exceeded the threshold
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -26,7 +28,6 @@ import numpy as np
 
 from .ctc import best_path_decode
 from .features import Checkpoint
-from .ldcrf import label_marginals
 from .seqdata import (
     DatasetFormatError,
     GeneratorConfig,
@@ -39,6 +40,7 @@ from .seqdata import (
 from .trainer import (
     TrainConfig,
     TrainingDivergedError,
+    dataset_label_marginals,
     evaluate,
     gradient_check_suite,
     train,
@@ -102,9 +104,7 @@ def _build_train_config(args: argparse.Namespace) -> TrainConfig:
             raise ValueError(f"config file {args.config} must hold a JSON object")
         TrainConfig.from_dict(file_conf)  # reject unknown keys early
         merged.update(file_conf)
-    for key in ("mode", "grad_mode", "learning_rate", "momentum", "epochs",
-                "batch_size", "l2", "seed", "window", "hidden_per_label",
-                "pretrain_epochs", "init_scale"):
+    for key in (f.name for f in dataclasses.fields(TrainConfig)):
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
@@ -196,13 +196,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_decode(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.data)
     checkpoint = Checkpoint.load(args.model)
-    if dataset.label_set.names != checkpoint.label_set.names:
-        raise ValueError("dataset and checkpoint use different label sets")
     label_set = checkpoint.label_set
     out = []
-    for seq in dataset.sequences:
-        q = label_marginals(seq, checkpoint.params, checkpoint.hidden_map,
-                            checkpoint.feature_config)
+    for seq, q in dataset_label_marginals(dataset, checkpoint):
         frames = [label_set.name_of(int(a)) for a in np.argmax(q, axis=1)]
         segments = [label_set.name_of(a)
                     for a in best_path_decode(q, label_set.blank_id)]

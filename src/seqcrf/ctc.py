@@ -153,12 +153,3 @@ def best_path_decode(q: np.ndarray, blank_id: int) -> list[int]:
     path = np.argmax(q, axis=1)
     return collapse([int(a) for a in path], blank_id)
 
-
-def ctc_log_prob(q: np.ndarray, z: SequenceT[int], blank_id: int) -> float:
-    """log P(z | x) without keeping the lattice around."""
-    return ctc_forward_backward(q, z, blank_id).log_prob
-
-
-def frame_posterior_check(tables: CtcTables) -> np.ndarray:
-    """Per-frame log-sum-exp of alpha+beta; equals log_prob at every frame."""
-    return np.logaddexp.reduce(tables.log_alpha + tables.log_beta, axis=1)

@@ -56,12 +56,6 @@ class HiddenStateMap:
     def num_states(self) -> int:
         return self.num_labels * self.states_per_label
 
-    def block(self, label: int) -> slice:
-        h = self.states_per_label
-        if not 0 <= label < self.num_labels:
-            raise ValueError(f"label {label} out of range")
-        return slice(label * h, (label + 1) * h)
-
     def label_of_state(self, state: int) -> int:
         if not 0 <= state < self.num_states:
             raise ValueError(f"state {state} out of range")
@@ -100,10 +94,6 @@ class ModelParams:
     @property
     def obs_dim(self) -> int:
         return self.state_weights.shape[1]
-
-    @property
-    def size(self) -> int:
-        return self.state_weights.size + self.trans_weights.size
 
     def flatten(self) -> np.ndarray:
         return np.concatenate([self.state_weights.ravel(), self.trans_weights.ravel()])
@@ -149,13 +139,6 @@ class ModelParams:
 # ---------------------------------------------------------------------------
 
 
-def windowed_obs(seq: Sequence, j: int, config: FeatureConfig) -> np.ndarray:
-    """Observation vector at position j: frames j-w..j+w, zero-padded."""
-    if not 0 <= j < seq.num_frames:
-        raise IndexError(f"frame index {j} out of range")
-    return observation_matrix(seq, config)[j]
-
-
 def observation_matrix(seq: Sequence, config: FeatureConfig) -> np.ndarray:
     """T x D matrix of windowed observations for the whole sequence."""
     if seq.dim != config.input_dim:
@@ -179,16 +162,11 @@ def observation_matrix(seq: Sequence, config: FeatureConfig) -> np.ndarray:
 
 def node_scores(seq: Sequence, params: ModelParams, config: FeatureConfig) -> np.ndarray:
     """T x H matrix of linear state scores (no exponentiation)."""
-    obs = observation_matrix(seq, config)
-    return node_scores_from_obs(obs, params)
-
-
-def node_scores_from_obs(obs: np.ndarray, params: ModelParams) -> np.ndarray:
-    if obs.shape[1] != params.obs_dim:
+    if config.obs_dim != params.obs_dim:
         raise ValueError(
-            f"observation dimension {obs.shape[1]} != parameter dimension {params.obs_dim}"
+            f"observation dimension {config.obs_dim} != parameter dimension {params.obs_dim}"
         )
-    return obs @ params.state_weights.T
+    return observation_matrix(seq, config) @ params.state_weights.T
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chain import ChainPosteriors, forward_backward, masked_forward_backward, viterbi
+from .chain import (
+    ChainPosteriors,
+    forward_backward,
+    masked_forward_backward,
+    transition_counts,
+    viterbi,
+)
 from .features import FeatureConfig, HiddenStateMap, ModelParams, node_scores, observation_matrix
 from .seqdata import Sequence
 
@@ -87,8 +93,8 @@ def ldcrf_frame_objective(
         loss += free.log_z - restricted.log_z
         diff = free.node_marginals - restricted.node_marginals  # (T, H)
         grad_state += diff.T @ obs
-        if seq.num_frames > 1:
-            grad_trans += (free.edge_marginals - restricted.edge_marginals).sum(axis=0)
+        grad_trans += (transition_counts(free, params.trans_weights)
+                       - transition_counts(restricted, params.trans_weights))
     if not np.isfinite(loss):
         raise FloatingPointError("frame objective is not finite")
     theta = params.flatten()

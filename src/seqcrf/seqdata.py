@@ -13,7 +13,7 @@ import math
 import os
 import string
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence as SequenceT
 
 import numpy as np
@@ -161,6 +161,11 @@ class Dataset:
                         raise DatasetFormatError(
                             f"sequence {seq.id!r}: {name} may not contain the blank label"
                         )
+            if seq.label_seq is not None and any(
+                    a == b for a, b in zip(seq.label_seq, seq.label_seq[1:])):
+                raise DatasetFormatError(
+                    f"sequence {seq.id!r}: label_seq repeats a label in adjacent positions"
+                )
             if seq.frame_labels is not None and seq.label_seq is not None:
                 if collapse(seq.frame_labels, blank) != seq.label_seq:
                     raise DatasetFormatError(
@@ -170,12 +175,6 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.sequences[0].dim
-
-    def by_id(self, seq_id: str) -> Sequence:
-        for seq in self.sequences:
-            if seq.id == seq_id:
-                return seq
-        raise KeyError(seq_id)
 
     def subset(self, ids: Iterable[str]) -> "Dataset":
         """New dataset restricted to the given sequence ids (order preserved)."""
@@ -312,11 +311,6 @@ def _parse_sequence(
         )
     except DatasetFormatError as exc:
         raise DatasetFormatError(f"{where}: {exc}") from None
-    if seq.frame_labels is not None and seq.label_seq is not None:
-        if collapse(seq.frame_labels, label_set.blank_id) != seq.label_seq:
-            raise DatasetFormatError(
-                f"{where}: label_seq is not the collapse of frame_labels"
-            )
     return seq
 
 
@@ -438,21 +432,7 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> Dataset:
 
     sequences: list[Sequence] = []
     meta: dict[str, str] = {
-        "generator": json.dumps(
-            {
-                "classes": config.classes,
-                "dim": config.dim,
-                "num_sequences": config.num_sequences,
-                "seg_len_range": list(config.seg_len_range),
-                "segments_range": list(config.segments_range),
-                "noise": config.noise,
-                "gap_len_range": list(config.gap_len_range)
-                if config.gap_len_range
-                else None,
-                "seed": seed,
-            },
-            sort_keys=True,
-        )
+        "generator": json.dumps({**asdict(config), "seed": seed}, sort_keys=True)
     }
     width = len(str(config.num_sequences - 1))
     for i in range(config.num_sequences):

@@ -34,6 +34,7 @@ import json
 import logging
 import time
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -45,14 +46,7 @@ from .ctc import (
     ctc_forward_backward,
     min_frames_required,
 )
-from .features import (
-    Checkpoint,
-    FeatureConfig,
-    HiddenStateMap,
-    ModelParams,
-    node_scores_from_obs,
-    observation_matrix,
-)
+from .features import Checkpoint, FeatureConfig, HiddenStateMap, ModelParams, observation_matrix
 from .ldcrf import frame_label_marginals, label_marginals, ldcrf_frame_objective
 from .seqdata import (
     Dataset,
@@ -72,7 +66,8 @@ GRAD_MODES = ("exact", "local")
 
 
 class TrainingDivergedError(RuntimeError):
-    """Loss became non-finite; carries the partial report and checkpoint."""
+    """Loss became non-finite or an epoch skipped every batch; carries the
+    partial report and checkpoint."""
 
     def __init__(self, message: str, report: "TrainReport | None" = None,
                  checkpoint: Checkpoint | None = None) -> None:
@@ -173,19 +168,9 @@ class TrainReport:
     wall_clock_seconds: float = 0.0
 
     def to_dict(self, include_timing: bool = False) -> dict:
-        out = {
-            "mode": self.mode,
-            "grad_mode": self.grad_mode,
-            "epochs_completed": self.epochs_completed,
-            "epoch_losses": list(self.epoch_losses),
-            "grad_norms": list(self.grad_norms),
-            "pretrain_epochs": self.pretrain_epochs,
-            "diverged": self.diverged,
-            "checkpoint_path": self.checkpoint_path,
-            "evaluation": self.evaluation,
-        }
-        if include_timing:
-            out["wall_clock_seconds"] = self.wall_clock_seconds
+        out = dataclasses.asdict(self)
+        if not include_timing:
+            del out["wall_clock_seconds"]
         return out
 
     def to_json(self, include_timing: bool = False) -> str:
@@ -235,7 +220,7 @@ def ctc_ldcrf_loss_and_grad(
         if seq.label_seq is None:
             raise ValueError(f"sequence {seq.id!r} has no label_seq")
         obs = observation_matrix(seq, feature_config)
-        scores = node_scores_from_obs(obs, params)
+        scores = obs @ params.state_weights.T
         post = forward_backward(scores, params.trans_weights)
         forward.append((seq, obs, scores, post, frame_label_marginals(post, hidden_map)))
     # per-label factor on q; also scales the error table, since the prior
@@ -296,9 +281,7 @@ def _composite_loss(
     """Loss-only evaluation used by the finite-difference checks; a given
     ``prior`` divides q as a fixed constant."""
     params = ModelParams.unflatten(theta, hidden_map.num_states, feature_config.obs_dim)
-    scores = node_scores_from_obs(observation_matrix(seq, feature_config), params)
-    post = forward_backward(scores, params.trans_weights)
-    q = frame_label_marginals(post, hidden_map)
+    q = label_marginals(seq, params, hidden_map, feature_config)
     if prior is not None:
         q = q * (1.0 / prior)
     log_prob = ctc_forward_backward(q, seq.label_seq, blank_id).log_prob
@@ -337,7 +320,9 @@ def _run_sgd(
     rate * 2 / epochs in the last one, so that the weights settle instead
     of wandering with the batch noise; stages of one or two epochs keep
     the full rate.  Batch accumulation order follows the shuffled order,
-    which is deterministic for a fixed generator state.
+    which is deterministic for a fixed generator state.  An epoch whose
+    every batch is skipped trained nothing, so it ends the stage as
+    diverged.  Each finished epoch logs one INFO line.
     """
     n = len(sequences)
     theta = theta.copy()
@@ -349,6 +334,7 @@ def _run_sgd(
         order = shuffle_rng.permutation(n)
         epoch_loss = 0.0
         batch_norms: list[float] = []
+        skipped = 0
         for start in range(0, n, config.batch_size):
             batch = [sequences[int(i)] for i in order[start:start + config.batch_size]]
             if not np.all(np.isfinite(theta)):
@@ -366,6 +352,7 @@ def _run_sgd(
                     )
             except EmptyBatchError:
                 logger.warning("batch starting at %d skipped entirely", start)
+                skipped += 1
                 continue
             except FloatingPointError:
                 return _StageResult(theta, losses, norms, True)
@@ -376,8 +363,16 @@ def _run_sgd(
             theta = theta + velocity
             epoch_loss += loss
             batch_norms.append(float(np.linalg.norm(step_grad)))
+        if not batch_norms:
+            logger.warning("epoch %d: every batch was skipped; stopping", epoch + 1)
+            return _StageResult(theta, losses, norms, True)
         losses.append(float(epoch_loss))
-        norms.append(float(np.mean(batch_norms)) if batch_norms else 0.0)
+        norms.append(float(np.mean(batch_norms)))
+        logger.info(
+            "epoch %d/%d (%s): loss %.6g, mean grad norm %.4g, step size %.4g, "
+            "skipped batches %d",
+            epoch + 1, epochs, objective, losses[-1], norms[-1], lr, skipped,
+        )
     return _StageResult(theta, losses, norms, False)
 
 
@@ -407,7 +402,7 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Checkpoint, TrainRepor
     """Train per ``config.mode``; deterministic for fixed seed/config/data.
 
     Raises TrainingDivergedError (with the partial report and checkpoint
-    attached) if the loss stops being finite.
+    attached) if the loss stops being finite or an epoch skips every batch.
     """
     if config.mode == "pretrain_finetune":
         return pretrain_finetune(dataset, config)
@@ -493,7 +488,8 @@ def _finish(
     )
     if result.diverged:
         raise TrainingDivergedError(
-            "training loss became non-finite", report=report, checkpoint=checkpoint
+            "training loss became non-finite, or an epoch skipped every batch",
+            report=report, checkpoint=checkpoint,
         )
     return checkpoint, report
 
@@ -525,6 +521,23 @@ class EvalReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
+def dataset_label_marginals(
+    dataset: Dataset, checkpoint: Checkpoint
+) -> Iterator[tuple[Sequence, np.ndarray]]:
+    """(sequence, q table) for every sequence of ``dataset``, in order.
+
+    The label sets must match; that is checked here, before any marginal
+    is computed.
+    """
+    if dataset.label_set.names != checkpoint.label_set.names:
+        raise ValueError("dataset and checkpoint use different label sets")
+    return (
+        (seq, label_marginals(seq, checkpoint.params, checkpoint.hidden_map,
+                              checkpoint.feature_config))
+        for seq in dataset.sequences
+    )
+
+
 def evaluate(
     dataset: Dataset,
     checkpoint: Checkpoint,
@@ -540,8 +553,7 @@ def evaluate(
     the positive label, default the last real label) is included when
     both classes occur in the data.
     """
-    if dataset.label_set.names != checkpoint.label_set.names:
-        raise ValueError("dataset and checkpoint use different label sets")
+    marginals = dataset_label_marginals(dataset, checkpoint)
     label_set = checkpoint.label_set
     binary = len(label_set.real_names) == 2
     pos_id: int | None = None
@@ -557,11 +569,9 @@ def evaluate(
     truths: dict[str, list[int]] = {}
     scores: list[float] = []
     score_truth: list[int] = []
-    for seq in dataset.sequences:
+    for seq, q in marginals:
         if seq.frame_labels is None:
             raise ValueError(f"sequence {seq.id!r} has no frame_labels; cannot score")
-        q = label_marginals(seq, checkpoint.params, checkpoint.hidden_map,
-                            checkpoint.feature_config)
         raw = [int(a) for a in np.argmax(q, axis=1)]
         preds[seq.id] = remap_blank_predictions(raw, label_set.blank_id, policy=blank_policy)
         truths[seq.id] = list(seq.frame_labels)

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from conftest import record_criterion
-from seqcrf.chain import brute_force_posteriors, forward_backward
-from seqcrf.ctc import ctc_error_table, ctc_forward_backward, ctc_log_prob
+from oracles import brute_force_posteriors
+from seqcrf.chain import forward_backward, transition_counts
+from seqcrf.ctc import ctc_error_table, ctc_forward_backward
 from seqcrf.features import (
     Checkpoint,
     FeatureConfig,
@@ -68,17 +69,14 @@ def test_criterion_01_chain_inference_matches_enumeration():
             scores = rng.uniform(-2, 2, size=(t, h))
             trans = rng.uniform(-2, 2, size=(h, h))
             fast = forward_backward(scores, trans)
-            slow = brute_force_posteriors(scores, trans)
+            log_z, node, edge = brute_force_posteriors(scores, trans)
+            counts = transition_counts(fast, trans)
             worst = max(
                 worst,
-                float(np.max(np.abs(fast.node_marginals - slow.node_marginals))),
-                abs(fast.log_z - slow.log_z),
+                float(np.max(np.abs(fast.node_marginals - node))),
+                abs(fast.log_z - log_z),
+                float(np.max(np.abs(counts - edge.sum(axis=0)))),
             )
-            if t > 1:
-                worst = max(
-                    worst,
-                    float(np.max(np.abs(fast.edge_marginals - slow.edge_marginals))),
-                )
         elapsed = time.perf_counter() - start
         info["detail"] = f"max deviation {worst:.3e}, {elapsed:.2f}s"
         assert worst < 1e-10
@@ -178,7 +176,7 @@ def test_criterion_03_alignment_probability_exact_and_normalized():
             expect = _brute_force_alignment(q, z, blank)
             if expect == 0.0:
                 continue  # infeasible target; exactness is covered elsewhere
-            got = math.exp(ctc_log_prob(q, z, blank))
+            got = math.exp(ctc_forward_backward(q, z, blank).log_prob)
             worst = max(worst, abs(got - expect))
 
         worst_total = 0.0

@@ -1,0 +1,45 @@
+"""The public surface: what ``seqcrf`` exports, and what importing it loads."""
+import subprocess
+import sys
+
+import pytest
+
+import seqcrf
+
+REMOVED = {
+    "seqcrf": ["brute_force_posteriors", "ctc_log_prob", "frame_posterior_check",
+               "node_scores_from_obs", "restricted_log_partition", "windowed_obs"],
+    "seqcrf.chain": ["BRUTE_FORCE_LIMIT", "brute_force_posteriors",
+                     "restricted_log_partition"],
+    "seqcrf.ctc": ["ctc_log_prob", "frame_posterior_check"],
+    "seqcrf.features": ["node_scores_from_obs", "windowed_obs"],
+}
+
+
+def test_all_names_resolve_and_stay_sorted():
+    assert seqcrf.__all__ == sorted(seqcrf.__all__)
+    for name in seqcrf.__all__:
+        assert getattr(seqcrf, name) is not None
+
+
+@pytest.mark.parametrize("module", sorted(REMOVED))
+def test_removed_names_are_gone(module):
+    mod = sys.modules[module]
+    for name in REMOVED[module]:
+        assert name not in seqcrf.__all__
+        assert not hasattr(mod, name)
+
+
+def test_removed_methods_are_gone():
+    assert not hasattr(seqcrf.HiddenStateMap, "block")
+    assert not hasattr(seqcrf.Dataset, "by_id")
+    assert not hasattr(seqcrf.ModelParams, "size")
+    assert "edge_marginals" not in seqcrf.ChainPosteriors.__dataclass_fields__
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, seqcrf; "
+            "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

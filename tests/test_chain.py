@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from oracles import brute_force_posteriors, lse
 from seqcrf.chain import (
-    brute_force_posteriors,
     fb_adjoint,
     forward_backward,
     masked_forward_backward,
-    restricted_log_partition,
+    transition_counts,
     viterbi,
 )
 
@@ -25,11 +25,6 @@ def all_paths(t, h):
     return itertools.product(range(h), repeat=t)
 
 
-def _lse(x, axis):
-    m = x.max(axis=axis, keepdims=True)
-    return np.log(np.exp(x - m).sum(axis=axis)) + np.squeeze(m, axis=axis)
-
-
 def longdouble_forward_backward(scores, trans):
     """Reference log Z and node marginals: the plain log-domain recursion
     in extended precision, one frame at a time; -inf scores mask states."""
@@ -40,10 +35,10 @@ def longdouble_forward_backward(scores, trans):
     beta = np.zeros((t, h), dtype=np.longdouble)
     alpha[0] = scores[0]
     for j in range(1, t):
-        alpha[j] = scores[j] + _lse(alpha[j - 1][:, None] + trans, axis=0)
+        alpha[j] = scores[j] + lse(alpha[j - 1][:, None] + trans, axis=0)
     for j in range(t - 2, -1, -1):
-        beta[j] = _lse(trans + (scores[j + 1] + beta[j + 1])[None, :], axis=1)
-    log_z = _lse(alpha[t - 1], axis=0)
+        beta[j] = lse(trans + (scores[j + 1] + beta[j + 1])[None, :], axis=1)
+    log_z = lse(alpha[t - 1], axis=0)
     return log_z, np.exp(alpha + beta - log_z)
 
 
@@ -67,17 +62,19 @@ class TestForwardBackward:
             scores = rng.normal(size=(t, h))
             trans = rng.normal(size=(h, h))
             fast = forward_backward(scores, trans)
-            slow = brute_force_posteriors(scores, trans)
-            assert fast.log_z == pytest.approx(slow.log_z, abs=1e-10)
-            np.testing.assert_allclose(fast.node_marginals, slow.node_marginals, atol=1e-12)
-            np.testing.assert_allclose(fast.edge_marginals, slow.edge_marginals, atol=1e-12)
+            log_z, node, edge = brute_force_posteriors(scores, trans)
+            assert fast.log_z == pytest.approx(log_z, abs=1e-10)
+            np.testing.assert_allclose(fast.node_marginals, node, atol=1e-12)
+            np.testing.assert_allclose(
+                transition_counts(fast, trans), edge.sum(axis=0), atol=1e-12
+            )
 
     def test_single_frame_is_softmax(self):
         scores = np.array([[1.0, -2.0, 0.5]])
         post = forward_backward(scores, np.zeros((3, 3)))
         expect = np.exp(scores[0]) / np.exp(scores[0]).sum()
         np.testing.assert_allclose(post.node_marginals[0], expect, atol=1e-14)
-        assert post.edge_marginals.shape == (0, 3, 3)
+        np.testing.assert_array_equal(transition_counts(post, np.zeros((3, 3))), 0.0)
 
     def test_marginals_normalize(self):
         rng = np.random.default_rng(3)
@@ -85,12 +82,13 @@ class TestForwardBackward:
         trans = rng.normal(size=(4, 4))
         post = forward_backward(scores, trans)
         np.testing.assert_allclose(post.node_marginals.sum(axis=1), 1.0, atol=1e-12)
-        # edge tables are consistent with both adjacent node tables
+        # transition counts are consistent with the node tables on both sides
+        counts = transition_counts(post, trans)
         np.testing.assert_allclose(
-            post.edge_marginals.sum(axis=2), post.node_marginals[:-1], atol=1e-12
+            counts.sum(axis=1), post.node_marginals[:-1].sum(axis=0), atol=1e-12
         )
         np.testing.assert_allclose(
-            post.edge_marginals.sum(axis=1), post.node_marginals[1:], atol=1e-12
+            counts.sum(axis=0), post.node_marginals[1:].sum(axis=0), atol=1e-12
         )
 
     def test_score_shift_moves_log_z_not_marginals(self):
@@ -125,9 +123,6 @@ class TestMaskedForwardBackward:
                     total += math.exp(path_score(path, scores, trans))
             post = masked_forward_backward(scores, trans, allowed)
             assert post.log_z == pytest.approx(math.log(total), abs=1e-10)
-            assert restricted_log_partition(scores, trans, allowed) == pytest.approx(
-                math.log(total), abs=1e-10
-            )
             # no probability may leak onto masked-out states
             assert np.all(post.node_marginals[~allowed] == 0.0)
 
@@ -148,13 +143,13 @@ class TestMaskedForwardBackward:
 
     def test_restricted_log_partition_rejects_broadcast_mask(self):
         with pytest.raises(ValueError):
-            restricted_log_partition(np.zeros((3, 2)), np.zeros((2, 2)), np.ones((3, 1), bool))
+            masked_forward_backward(np.zeros((3, 2)), np.zeros((2, 2)), np.ones((3, 1), bool))
 
     def test_restricted_log_partition_rejects_nan_transitions(self):
         trans = np.zeros((2, 2))
         trans[0, 1] = np.nan
         with pytest.raises(ValueError):
-            restricted_log_partition(np.zeros((3, 2)), trans, np.ones((3, 2), bool))
+            masked_forward_backward(np.zeros((3, 2)), trans, np.ones((3, 2), bool))
 
 
 class TestLongChains:
@@ -290,12 +285,11 @@ class TestAdjoint:
         with pytest.raises(ValueError):
             fb_adjoint(scores, trans, np.zeros((3, 2)), forward_backward(scores[:2], trans))
 
-    def test_rejects_masked_or_enumerated_posteriors(self):
-        # a masked pass has -inf messages and enumeration has none; either
-        # would turn the sweeps' weights into NaN or fail late
+    def test_rejects_masked_posteriors(self):
+        # a masked pass has -inf messages, which would turn the sweeps'
+        # weights into NaN
         scores, trans = np.zeros((3, 2)), np.zeros((2, 2))
         allowed = np.array([[True, False], [True, True], [True, True]])
-        for post in (masked_forward_backward(scores, trans, allowed),
-                     brute_force_posteriors(scores, trans)):
-            with pytest.raises(ValueError):
-                fb_adjoint(scores, trans, np.ones((3, 2)), post)
+        post = masked_forward_backward(scores, trans, allowed)
+        with pytest.raises(ValueError):
+            fb_adjoint(scores, trans, np.ones((3, 2)), post)

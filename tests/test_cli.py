@@ -1,5 +1,7 @@
 """Command-line surface: artifacts, exit codes, config merging."""
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -98,6 +100,33 @@ class TestTrain:
         parsed = json.loads(report.read_text())
         assert "frame_accuracy" in parsed["evaluation"]
         assert "held-out frame accuracy" in capsys.readouterr().out
+
+    def test_adjacent_repeat_in_label_seq_is_io_error(self, tmp_path, capsys):
+        data = tmp_path / "repeats.jsonl"
+        rows = [{"id": f"s{i}", "frames": [[0.0], [1.0]], "label_seq": ["A", "A"]}
+                for i in range(4)]
+        data.write_text("\n".join(json.dumps(r) for r in
+                                   [{"labels": ["A", "B"], "dim": 1}] + rows) + "\n")
+        code = run("train", "--data", str(data), "--out", str(tmp_path / "m.json"))
+        assert code == EXIT_IO
+        assert "adjacent" in capsys.readouterr().err
+
+    def test_verbose_logs_epochs_without_changing_the_report(self, tiny_data, tmp_path):
+        reports = []
+        for flags in ([], ["--verbose"]):
+            report = tmp_path / f"report{len(flags)}.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "seqcrf", *flags, "train", "--data", str(tiny_data),
+                 "--out", str(tmp_path / "m.json"), "--report", str(report),
+                 "--epochs", "2", "--seed", "1"],
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == EXIT_OK
+            epoch_lines = [ln for ln in proc.stderr.splitlines() if "epoch " in ln]
+            assert len(epoch_lines) == (2 if flags else 0)
+            reports.append(report.read_bytes())
+        assert "epoch 2/2" in epoch_lines[-1] and "step size" in epoch_lines[-1]
+        assert reports[0] == reports[1]
 
     def test_missing_data_file_is_io_error(self, tmp_path):
         code = run("train", "--data", str(tmp_path / "nope.jsonl"),
@@ -246,9 +275,6 @@ class TestParser:
         assert run("gen", "--out", "x.jsonl", "--wat") == EXIT_CONFIG
 
     def test_module_entry_point_matches_cli(self):
-        import subprocess
-        import sys
-
         proc = subprocess.run(
             [sys.executable, "-m", "seqcrf", "gradcheck", "--trials", "2"],
             capture_output=True, text=True,

@@ -8,9 +8,7 @@ from seqcrf.features import (
     HiddenStateMap,
     ModelParams,
     node_scores,
-    node_scores_from_obs,
     observation_matrix,
-    windowed_obs,
 )
 from seqcrf.seqdata import LabelSet, Sequence
 
@@ -34,15 +32,11 @@ class TestHiddenStateMap:
     def test_contiguous_blocks(self):
         hm = HiddenStateMap(num_labels=3, states_per_label=2)
         assert hm.num_states == 6
-        assert hm.block(0) == slice(0, 2)
-        assert hm.block(2) == slice(4, 6)
         assert [hm.label_of_state(s) for s in range(6)] == [0, 0, 1, 1, 2, 2]
         np.testing.assert_array_equal(hm.state_owner(), [0, 0, 1, 1, 2, 2])
 
     def test_out_of_range(self):
         hm = HiddenStateMap(2, 2)
-        with pytest.raises(ValueError):
-            hm.block(2)
         with pytest.raises(ValueError):
             hm.label_of_state(4)
         with pytest.raises(ValueError):
@@ -65,16 +59,6 @@ class TestObservations:
             obs, [[0, 1, 2, 1], [1, 2, 3, 1], [2, 3, 0, 1]]
         )
 
-    def test_windowed_obs_row_agrees_with_matrix(self):
-        rng = np.random.default_rng(0)
-        seq = Sequence(id="s", frames=rng.normal(size=(5, 3)))
-        config = FeatureConfig(input_dim=3, window=2)
-        obs = observation_matrix(seq, config)
-        for j in range(5):
-            np.testing.assert_array_equal(windowed_obs(seq, j, config), obs[j])
-        with pytest.raises(IndexError):
-            windowed_obs(seq, 5, config)
-
     def test_dim_mismatch_raises(self):
         seq = Sequence(id="s", frames=np.zeros((2, 3)))
         with pytest.raises(ValueError):
@@ -90,7 +74,7 @@ class TestObservations:
         obs = observation_matrix(seq, config)
         np.testing.assert_allclose(scores, obs @ params.state_weights.T, atol=0)
         with pytest.raises(ValueError):
-            node_scores_from_obs(obs[:, :-1], params)
+            node_scores(seq, params, FeatureConfig(input_dim=2, window=0))
 
 
 class TestModelParams:

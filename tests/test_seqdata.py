@@ -83,17 +83,22 @@ class TestSequenceValidation:
 class TestDataset:
     def test_lookup_and_subset(self):
         ds = tiny_dataset()
-        assert ds.by_id("b").num_frames == 2
         sub = ds.subset(["b"])
         assert [s.id for s in sub.sequences] == ["b"]
         assert sub.label_set is ds.label_set
-        with pytest.raises(KeyError):
-            ds.by_id("nope")
 
     def test_duplicate_ids_rejected(self):
         ls = LabelSet.from_names(["a"])
         seqs = [Sequence(id="x", frames=np.zeros((1, 2))) for _ in range(2)]
         with pytest.raises(DatasetFormatError):
+            Dataset(label_set=ls, sequences=seqs)
+
+    def test_adjacent_repeats_in_label_seq_rejected(self):
+        ls = LabelSet.from_names(["a", "b"])
+        Dataset(label_set=ls, sequences=[
+            Sequence(id="ok", frames=np.zeros((3, 2)), label_seq=[0, 1, 0])])
+        seqs = [Sequence(id="s", frames=np.zeros((3, 2)), label_seq=[0, 0])]
+        with pytest.raises(DatasetFormatError, match="adjacent"):
             Dataset(label_set=ls, sequences=seqs)
 
     def test_mixed_dims_rejected(self):

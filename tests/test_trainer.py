@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import seqcrf.trainer as trainer_mod
-from seqcrf.ctc import ctc_log_prob
+from seqcrf.ctc import ctc_forward_backward
 from seqcrf.features import (
     Checkpoint,
     FeatureConfig,
@@ -73,11 +73,8 @@ class TestCompositeLoss:
         config = FeatureConfig(input_dim=2, window=1)
         params = ModelParams.random_init(4, config.obs_dim, seed=2, scale=0.4)
         seq = Sequence(id="s", frames=rng.normal(size=(5, 2)), label_seq=[0])
-        from seqcrf.ctc import ctc_log_prob
-        from seqcrf.ldcrf import label_marginals
-
         q = label_marginals(seq, params, hidden_map, config)
-        expect = -ctc_log_prob(q, [0], blank_id=1)
+        expect = -ctc_forward_backward(q, [0], blank_id=1).log_prob
         loss, _ = ctc_ldcrf_loss_and_grad([seq], params, hidden_map, config, blank_id=1)
         assert loss == pytest.approx(expect, abs=1e-12)
 
@@ -200,7 +197,7 @@ class TestLabelPrior:
         ]
         qs = [label_marginals(s, params, hidden_map, config) for s in seqs]
         prior = np.concatenate(qs).mean(axis=0)  # every frame, blank included
-        expect = -sum(ctc_log_prob(q / prior, s.label_seq, blank_id=2)
+        expect = -sum(ctc_forward_backward(q / prior, s.label_seq, blank_id=2).log_prob
                       for q, s in zip(qs, seqs))
         loss, _ = ctc_ldcrf_loss_and_grad(
             seqs, params, hidden_map, config, blank_id=2, label_prior=True
@@ -341,15 +338,26 @@ class TestTrainLoop:
         assert err.checkpoint is not None
         assert np.all(np.isfinite(err.checkpoint.params.flatten()))
 
+    def test_epoch_with_every_batch_skipped_diverges(self, monkeypatch):
+        def empty(*args, **kwargs):
+            raise EmptyBatchError("nothing alignable")
+
+        monkeypatch.setattr(trainer_mod, "ctc_ldcrf_loss_and_grad", empty)
+        with pytest.raises(TrainingDivergedError) as exc_info:
+            train(small_gen(n=4), TrainConfig(epochs=3, batch_size=2, seed=0))
+        report = exc_info.value.report
+        assert report.diverged
+        assert report.epoch_losses == [] and report.epochs_completed == 0
+
     def test_infeasible_sequences_are_skipped_during_training(self, caplog):
         ds = small_gen(classes=2, n=6, seed=8)
-        # too few frames for a repeated label: structurally unalignable
+        # too few frames for a repeated label: structurally unalignable.
+        # Dataset validation rejects adjacent repeats, so the sequence is
+        # added after it, as an in-memory caller could
         bad = Sequence(id="cramped", frames=np.zeros((2, 2)), label_seq=[0, 0])
-        with_bad = Dataset(
-            label_set=ds.label_set,
-            sequences=ds.sequences + [bad],
-            meta=dict(ds.meta),
-        )
+        with_bad = Dataset(label_set=ds.label_set, sequences=list(ds.sequences),
+                           meta=dict(ds.meta))
+        with_bad.sequences.append(bad)
         with caplog.at_level(logging.WARNING):
             ck, report = train(with_bad, TrainConfig(epochs=2, seed=0))
         assert "cramped" in caplog.text
