@@ -33,7 +33,6 @@ from .features import (
     observation_matrix,
 )
 from .ldcrf import (
-    decode_frames,
     decode_frames_viterbi,
     frame_label_marginals,
     label_marginals,
@@ -69,7 +68,6 @@ from .trainer import (
     gradient_check,
     gradient_check_suite,
     local_vs_exact_divergence,
-    pretrain_finetune,
     train,
 )
 
@@ -99,7 +97,6 @@ __all__ = [
     "ctc_error_table",
     "ctc_forward_backward",
     "ctc_ldcrf_loss_and_grad",
-    "decode_frames",
     "decode_frames_viterbi",
     "evaluate",
     "extract_segment_subsequences",
@@ -119,7 +116,6 @@ __all__ = [
     "min_frames_required",
     "node_scores",
     "observation_matrix",
-    "pretrain_finetune",
     "remap_blank_predictions",
     "roc_curve",
     "save_dataset",

@@ -2,14 +2,15 @@
 
 The chain distribution is Gibbs: P(h | x) proportional to
 exp(sum_j score[j, h_j] + sum_j trans[h_j, h_{j+1}]), with one shared
-transition matrix across all adjacent pairs.  One message pass serves
-node marginals, the masked (restricted) chain, expected transition
-counts and the adjoint: alpha/beta run in the log domain with a
-plain-numpy max-shifted log-sum-exp, so score magnitudes up to a few
-hundred cause no overflow, and the messages are returned with the
-posteriors so that ``transition_counts`` and ``fb_adjoint`` reuse them
-instead of recomputing them.  No pass builds a per-frame (T-1, H, H)
-edge table; only ``transition_counts`` forms one, summed on the spot.
+transition matrix across all adjacent pairs.  One forward recursion
+serves node marginals, the masked (restricted) chain, expected
+transition counts and the adjoint; in the max semiring it is Viterbi's.
+Messages run in the log domain with a plain-numpy max-shifted
+log-sum-exp, so score magnitudes up to a few hundred cause no overflow,
+and they are returned with the posteriors so that ``transition_counts``
+and ``fb_adjoint`` reuse them instead of recomputing them.  The message
+passes build no per-frame (T-1, H, H) edge table; ``transition_counts``
+forms one and sums it on the spot.
 
 Conventions: trans[a, b] scores a transition from state a at position j
 to state b at position j+1.
@@ -51,6 +52,17 @@ def _logsumexp(x: np.ndarray, axis: int | None = None) -> np.ndarray:
     return np.log(np.exp(x - m).sum(axis=axis)) + np.squeeze(m, axis=axis)
 
 
+def _forward(scores: np.ndarray, trans: np.ndarray, reduce) -> np.ndarray:
+    """Forward messages: row j is scores[j] plus ``reduce`` over the previous
+    state of row j-1 + trans.  _logsumexp gives log alpha, np.maximum.reduce
+    Viterbi's best prefix scores."""
+    out = np.empty(scores.shape)
+    out[0] = scores[0]
+    for j in range(1, scores.shape[0]):
+        out[j] = scores[j] + reduce(out[j - 1][:, None] + trans, axis=0)
+    return out
+
+
 def _posteriors(scores: np.ndarray, trans: np.ndarray) -> ChainPosteriors:
     """Forward/backward log messages and the marginals they give.
 
@@ -58,10 +70,7 @@ def _posteriors(scores: np.ndarray, trans: np.ndarray) -> ChainPosteriors:
     finite one, so every max below is finite.
     """
     t, h = scores.shape
-    log_alpha = np.empty((t, h))
-    log_alpha[0] = scores[0]
-    for j in range(1, t):
-        log_alpha[j] = scores[j] + _logsumexp(log_alpha[j - 1][:, None] + trans, axis=0)
+    log_alpha = _forward(scores, trans, _logsumexp)
     log_beta = np.zeros((t, h))
     for j in range(t - 2, -1, -1):
         log_beta[j] = _logsumexp(trans + (scores[j + 1] + log_beta[j + 1])[None, :], axis=1)
@@ -111,18 +120,16 @@ def viterbi(node_scores: np.ndarray, trans_weights: np.ndarray) -> tuple[np.ndar
     """Max-score hidden path and its score; ties go to the lower state index."""
     node_scores = _finite("node_scores", node_scores)
     trans_weights = _finite("trans_weights", trans_weights)
-    t, h = node_scores.shape
-    delta = node_scores[0].copy()
-    back = np.zeros((t, h), dtype=np.int64)
-    for j in range(1, t):
-        cand = delta[:, None] + trans_weights  # (from, to)
-        back[j] = np.argmax(cand, axis=0)  # first index on ties
-        delta = node_scores[j] + cand[back[j], np.arange(h)]
-    path = np.zeros(t, dtype=np.int64)
-    path[t - 1] = int(np.argmax(delta))
+    delta = _forward(node_scores, trans_weights, np.maximum.reduce)
+    # back[j, b]: best state at frame j given state b at frame j+1; argmax
+    # takes the first index on ties
+    back = np.argmax(delta[:-1, :, None] + trans_weights, axis=1)
+    t = delta.shape[0]
+    path = np.empty(t, dtype=np.int64)
+    path[t - 1] = np.argmax(delta[t - 1])
     for j in range(t - 1, 0, -1):
-        path[j - 1] = back[j, path[j]]
-    return path, float(delta[path[t - 1]])
+        path[j - 1] = back[j - 1, path[j]]
+    return path, float(delta[t - 1, path[t - 1]])
 
 
 def fb_adjoint(

@@ -29,6 +29,7 @@ import numpy as np
 from .ctc import best_path_decode
 from .features import Checkpoint
 from .seqdata import (
+    Dataset,
     DatasetFormatError,
     GeneratorConfig,
     atomic_write_text,
@@ -38,8 +39,11 @@ from .seqdata import (
     save_dataset,
 )
 from .trainer import (
+    GRAD_MODES,
+    MODES,
     TrainConfig,
     TrainingDivergedError,
+    TrainReport,
     dataset_label_marginals,
     evaluate,
     gradient_check_suite,
@@ -70,8 +74,8 @@ def _add_train_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--model", choices=["crf", "ldcrf", "ctc-ldcrf"],
                      help="preset: crf = 1 hidden state + frame_wise, "
                           "ldcrf = frame_wise, ctc-ldcrf = unsegmented training")
-    sub.add_argument("--mode", choices=["unsegmented", "frame_wise", "pretrain_finetune"])
-    sub.add_argument("--grad-mode", choices=["exact", "local"], dest="grad_mode")
+    sub.add_argument("--mode", choices=MODES)
+    sub.add_argument("--grad-mode", choices=GRAD_MODES, dest="grad_mode")
     sub.add_argument("--lr", type=float, dest="learning_rate")
     sub.add_argument("--momentum", type=float)
     sub.add_argument("--epochs", type=int)
@@ -143,36 +147,40 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _train_and_write(dataset, config: TrainConfig, args: argparse.Namespace) -> int:
-    """Shared by the train subcommand; writes artifacts even on divergence."""
+def _train_and_write(dataset: Dataset, eval_set: Dataset | None, config: TrainConfig,
+                     model_path: str, report_path: str | None,
+                     blank_policy: str) -> TrainReport:
+    """Train, score ``eval_set`` (if given) and write the checkpoint and the
+    report.  A diverged run writes its partial ones, unscored, and returns
+    a report with ``diverged`` set."""
     try:
         checkpoint, report = train(dataset, config)
-        code = EXIT_OK
     except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         checkpoint, report = exc.checkpoint, exc.report
-        code = EXIT_DIVERGED
-    report.checkpoint_path = args.out
-    if code == EXIT_OK and args.eval_data:
-        eval_set = load_dataset(args.eval_data)
-        eval_report = evaluate(eval_set, checkpoint, blank_policy=args.blank_policy)
-        report.evaluation = eval_report.to_dict()
-        print(f"held-out frame accuracy: {eval_report.frame_accuracy}%")
-    checkpoint.save(args.out)
-    if args.report:
-        atomic_write_text(args.report, report.to_json() + "\n")
-    if report.epoch_losses:
-        print(f"trained {report.epochs_completed} epochs, "
-              f"final epoch loss {report.epoch_losses[-1]}")
-    else:
-        print("no epochs run; checkpoint is the raw initialization")
-    return code
+    if eval_set is not None and not report.diverged:
+        report.evaluation = evaluate(eval_set, checkpoint, blank_policy=blank_policy).to_dict()
+    report.checkpoint_path = model_path
+    checkpoint.save(model_path)
+    if report_path:
+        atomic_write_text(report_path, report.to_json() + "\n")
+    return report
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
     config = _build_train_config(args)
     dataset = load_dataset(args.data)
-    return _train_and_write(dataset, config, args)
+    eval_set = load_dataset(args.eval_data) if args.eval_data else None
+    report = _train_and_write(dataset, eval_set, config, args.out, args.report,
+                              args.blank_policy)
+    if report.evaluation is not None:
+        print(f"held-out frame accuracy: {report.evaluation['frame_accuracy']}%")
+    if report.epoch_losses:
+        print(f"trained {report.epochs_completed} epochs, "
+              f"final epoch loss {report.epoch_losses[-1]}")
+    else:
+        print("no epochs run; checkpoint is the raw initialization")
+    return EXIT_DIVERGED if report.diverged else EXIT_OK
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -223,24 +231,16 @@ def _cmd_kfold(args: argparse.Namespace) -> int:
         train_set, test_set = plan.split(dataset, fold)
         model_path = os.path.join(args.out_dir, f"fold{fold}_model.json")
         report_path = os.path.join(args.out_dir, f"fold{fold}_report.json")
-        try:
-            checkpoint, report = train(train_set, config)
-        except TrainingDivergedError as exc:
-            print(f"error: fold {fold} diverged: {exc}", file=sys.stderr)
-            exc.checkpoint.save(model_path)
-            exc.report.checkpoint_path = model_path
-            atomic_write_text(report_path, exc.report.to_json() + "\n")
+        report = _train_and_write(train_set, test_set, config, model_path, report_path,
+                                  args.blank_policy)
+        if report.diverged:
+            print(f"error: fold {fold} diverged", file=sys.stderr)
             return EXIT_DIVERGED
-        eval_report = evaluate(test_set, checkpoint, blank_policy=args.blank_policy)
-        report.checkpoint_path = model_path
-        report.evaluation = eval_report.to_dict()
-        checkpoint.save(model_path)
-        atomic_write_text(report_path, report.to_json() + "\n")
-        accuracies.append(eval_report.frame_accuracy)
+        accuracy = report.evaluation["frame_accuracy"]
+        accuracies.append(accuracy)
         fold_entries.append({"fold": fold, "model": model_path,
-                             "report": report_path,
-                             "frame_accuracy": eval_report.frame_accuracy})
-        print(f"fold {fold}: frame accuracy {eval_report.frame_accuracy}%")
+                             "report": report_path, "frame_accuracy": accuracy})
+        print(f"fold {fold}: frame accuracy {accuracy}%")
     aggregate = {
         "k": plan.k,
         "fold_seed": plan.seed,
@@ -342,8 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     gc.add_argument("--seed", type=int, default=1)
     gc.add_argument("--step", type=float, default=1e-5)
     gc.add_argument("--threshold", type=float, default=1e-5)
-    gc.add_argument("--grad-mode", dest="grad_mode", default="exact",
-                    choices=["exact", "local"])
+    gc.add_argument("--grad-mode", dest="grad_mode", default="exact", choices=GRAD_MODES)
     gc.set_defaults(func=_cmd_gradcheck)
 
     return parser

@@ -85,37 +85,27 @@ def ctc_forward_backward(q: np.ndarray, z: SequenceT[int], blank_id: int) -> Ctc
     # a position may be entered by a skip of two iff it is a non-blank
     # differing from the label two back
     skip_ok = np.zeros(s, dtype=bool)
-    if s > 2:
-        skip_ok[2:] = (aug[2:] != blank_id) & (aug[2:] != aug[:-2])
+    skip_ok[2:] = (aug[2:] != blank_id) & (aug[2:] != aug[:-2])
 
     neg_inf = -np.inf
     log_alpha = np.full((t, s), neg_inf)
-    log_alpha[0, 0] = emit[0, 0]
-    if s > 1:
-        log_alpha[0, 1] = emit[0, 1]
+    log_alpha[0, :2] = emit[0, :2]
     for j in range(1, t):
         prev = log_alpha[j - 1]
         acc = prev.copy()
         acc[1:] = np.logaddexp(acc[1:], prev[:-1])
-        if s > 2:
-            acc[2:] = np.logaddexp(acc[2:], np.where(skip_ok[2:], prev[:-2], neg_inf))
+        acc[2:] = np.logaddexp(acc[2:], np.where(skip_ok[2:], prev[:-2], neg_inf))
         log_alpha[j] = emit[j] + acc
-
-    if s > 1:
-        log_prob = float(np.logaddexp(log_alpha[t - 1, s - 1], log_alpha[t - 1, s - 2]))
-    else:
-        log_prob = float(log_alpha[t - 1, 0])
+    # the path ends on the last label or the trailing blank
+    log_prob = float(np.logaddexp.reduce(log_alpha[t - 1, -2:]))
 
     log_beta = np.full((t, s), neg_inf)
-    log_beta[t - 1, s - 1] = 0.0
-    if s > 1:
-        log_beta[t - 1, s - 2] = 0.0
+    log_beta[t - 1, -2:] = 0.0
     for j in range(t - 2, -1, -1):
         nxt = log_beta[j + 1] + emit[j + 1]
         acc = nxt.copy()
         acc[:-1] = np.logaddexp(acc[:-1], nxt[1:])
-        if s > 2:
-            acc[:-2] = np.logaddexp(acc[:-2], np.where(skip_ok[2:], nxt[2:], neg_inf))
+        acc[:-2] = np.logaddexp(acc[:-2], np.where(skip_ok[2:], nxt[2:], neg_inf))
         log_beta[j] = acc
 
     return CtcTables(augmented=aug, log_alpha=log_alpha, log_beta=log_beta, log_prob=log_prob)

@@ -2,7 +2,7 @@
 
 State features are linear in a windowed observation vector: the frames in
 a symmetric window around each position, zero-padded at the boundaries,
-with an optional trailing bias component.  Pairwise features are
+with a constant trailing bias component.  Pairwise features are
 position-independent transition indicators, one weight per ordered pair
 of hidden states.
 """
@@ -23,7 +23,6 @@ class FeatureConfig:
 
     input_dim: int
     window: int = 1
-    include_bias: bool = True
 
     def __post_init__(self) -> None:
         if self.window < 0:
@@ -34,7 +33,7 @@ class FeatureConfig:
     @property
     def obs_dim(self) -> int:
         """D = d * (2w + 1), plus one for the bias."""
-        return self.input_dim * (2 * self.window + 1) + int(self.include_bias)
+        return self.input_dim * (2 * self.window + 1) + 1
 
 
 @dataclass(frozen=True)
@@ -113,13 +112,6 @@ class ModelParams:
         )
 
     @classmethod
-    def zeros(cls, num_states: int, obs_dim: int) -> "ModelParams":
-        return cls(
-            state_weights=np.zeros((num_states, obs_dim)),
-            trans_weights=np.zeros((num_states, num_states)),
-        )
-
-    @classmethod
     def random_init(
         cls, num_states: int, obs_dim: int, seed: int, scale: float = 0.1
     ) -> "ModelParams":
@@ -129,9 +121,6 @@ class ModelParams:
             state_weights=rng.uniform(-scale, scale, size=(num_states, obs_dim)),
             trans_weights=rng.uniform(-scale, scale, size=(num_states, num_states)),
         )
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.state_weights.copy(), self.trans_weights.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -145,19 +134,12 @@ def observation_matrix(seq: Sequence, config: FeatureConfig) -> np.ndarray:
         raise ValueError(
             f"sequence dimension {seq.dim} != configured input_dim {config.input_dim}"
         )
-    frames = seq.frames
-    t, d = frames.shape
+    t, d = seq.frames.shape
     w = config.window
-    if w == 0:
-        obs = frames
-    else:
-        padded = np.zeros((t + 2 * w, d))
-        padded[w : w + t] = frames
-        cols = [padded[off : off + t] for off in range(2 * w + 1)]
-        obs = np.concatenate(cols, axis=1)
-    if config.include_bias:
-        obs = np.concatenate([obs, np.ones((t, 1))], axis=1)
-    return obs
+    padded = np.zeros((t + 2 * w, d))
+    padded[w : w + t] = seq.frames
+    cols = [padded[off : off + t] for off in range(2 * w + 1)]
+    return np.concatenate(cols + [np.ones((t, 1))], axis=1)
 
 
 def node_scores(seq: Sequence, params: ModelParams, config: FeatureConfig) -> np.ndarray:
@@ -198,7 +180,6 @@ class Checkpoint:
             "states_per_label": self.hidden_map.states_per_label,
             "window": self.feature_config.window,
             "input_dim": self.feature_config.input_dim,
-            "include_bias": self.feature_config.include_bias,
             "theta": self.params.flatten().tolist(),
         }
         return json.dumps(payload, sort_keys=True)
@@ -215,9 +196,7 @@ class Checkpoint:
             states_per_label=int(payload["states_per_label"]),
         )
         feature_config = FeatureConfig(
-            input_dim=int(payload["input_dim"]),
-            window=int(payload["window"]),
-            include_bias=bool(payload["include_bias"]),
+            input_dim=int(payload["input_dim"]), window=int(payload["window"])
         )
         params = ModelParams.unflatten(
             np.asarray(payload["theta"], dtype=np.float64),

@@ -103,18 +103,6 @@ def ldcrf_frame_objective(
     return loss, grad
 
 
-def decode_frames(
-    seq: Sequence, params: ModelParams, hidden_map: HiddenStateMap, config: FeatureConfig
-) -> list[int]:
-    """Per-frame argmax of the label marginals; ties to the lower label id.
-
-    Marginal decoding maximizes expected per-frame accuracy; the returned
-    ids may include the blank label.
-    """
-    q = label_marginals(seq, params, hidden_map, config)
-    return [int(a) for a in np.argmax(q, axis=1)]
-
-
 def decode_frames_viterbi(
     seq: Sequence, params: ModelParams, hidden_map: HiddenStateMap, config: FeatureConfig
 ) -> list[int]:

@@ -122,6 +122,32 @@ class Sequence:
         return self.frames.shape[1]
 
 
+def _check_labels(seq: Sequence, label_set: LabelSet) -> None:
+    """Label ids in range and never blank, no adjacent repeat in label_seq,
+    and label_seq the collapse of frame_labels when both are given."""
+    blank = label_set.blank_id
+    for name, labels in (("frame_labels", seq.frame_labels), ("label_seq", seq.label_seq)):
+        if labels is None:
+            continue
+        for a in labels:
+            if not 0 <= a < label_set.num_labels:
+                raise DatasetFormatError(f"sequence {seq.id!r}: label id {a} out of range")
+            if a == blank:
+                raise DatasetFormatError(
+                    f"sequence {seq.id!r}: {name} may not contain the blank label"
+                )
+    if seq.label_seq is not None and any(
+            a == b for a, b in zip(seq.label_seq, seq.label_seq[1:])):
+        raise DatasetFormatError(
+            f"sequence {seq.id!r}: label_seq repeats a label in adjacent positions"
+        )
+    if seq.frame_labels is not None and seq.label_seq is not None:
+        if collapse(seq.frame_labels, blank) != seq.label_seq:
+            raise DatasetFormatError(
+                f"sequence {seq.id!r}: label_seq is not the collapse of frame_labels"
+            )
+
+
 @dataclass
 class Dataset:
     """A label set, a list of sequences, and free-form string metadata."""
@@ -138,8 +164,6 @@ class Dataset:
             raise DatasetFormatError("dataset contains no sequences")
         dim = self.sequences[0].dim
         seen_ids: set[str] = set()
-        blank = self.label_set.blank_id
-        n_labels = self.label_set.num_labels
         for seq in self.sequences:
             if seq.dim != dim:
                 raise DatasetFormatError(
@@ -148,29 +172,7 @@ class Dataset:
             if seq.id in seen_ids:
                 raise DatasetFormatError(f"duplicate sequence id {seq.id!r}")
             seen_ids.add(seq.id)
-            for name, labels in (("frame_labels", seq.frame_labels),
-                                 ("label_seq", seq.label_seq)):
-                if labels is None:
-                    continue
-                for a in labels:
-                    if not 0 <= a < n_labels:
-                        raise DatasetFormatError(
-                            f"sequence {seq.id!r}: label id {a} out of range"
-                        )
-                    if a == blank:
-                        raise DatasetFormatError(
-                            f"sequence {seq.id!r}: {name} may not contain the blank label"
-                        )
-            if seq.label_seq is not None and any(
-                    a == b for a, b in zip(seq.label_seq, seq.label_seq[1:])):
-                raise DatasetFormatError(
-                    f"sequence {seq.id!r}: label_seq repeats a label in adjacent positions"
-                )
-            if seq.frame_labels is not None and seq.label_seq is not None:
-                if collapse(seq.frame_labels, blank) != seq.label_seq:
-                    raise DatasetFormatError(
-                        f"sequence {seq.id!r}: label_seq is not the collapse of frame_labels"
-                    )
+            _check_labels(seq, self.label_set)
 
     @property
     def dim(self) -> int:
@@ -309,6 +311,7 @@ def _parse_sequence(
             frame_labels=to_ids("frame_labels"),
             label_seq=to_ids("label_seq"),
         )
+        _check_labels(seq, label_set)
     except DatasetFormatError as exc:
         raise DatasetFormatError(f"{where}: {exc}") from None
     return seq

@@ -293,14 +293,6 @@ def _composite_loss(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _StageResult:
-    theta: np.ndarray
-    losses: list[float]
-    grad_norms: list[float]
-    diverged: bool
-
-
 def _run_sgd(
     sequences: list[Sequence],
     theta: np.ndarray,
@@ -311,24 +303,26 @@ def _run_sgd(
     epochs: int,
     objective: str,
     shuffle_rng: np.random.Generator,
-) -> _StageResult:
-    """Mini-batch gradient descent with momentum; mutates nothing it is given.
+    losses: list[float],
+    norms: list[float],
+) -> tuple[np.ndarray, bool]:
+    """Mini-batch gradient descent with momentum for one stage.
 
-    The step uses the batch-mean gradient so the learning rate keeps its
-    meaning for partial batches.  The step size holds at the configured
-    rate for the first half of the stage's epochs, then decays linearly to
-    rate * 2 / epochs in the last one, so that the weights settle instead
-    of wandering with the batch noise; stages of one or two epochs keep
-    the full rate.  Batch accumulation order follows the shuffled order,
-    which is deterministic for a fixed generator state.  An epoch whose
-    every batch is skipped trained nothing, so it ends the stage as
-    diverged.  Each finished epoch logs one INFO line.
+    Returns (theta, diverged) and appends each finished epoch's summed
+    loss and mean gradient norm to ``losses`` and ``norms``; the given
+    ``theta`` is never written into.  The step uses the batch-mean
+    gradient so the learning rate keeps its meaning for partial batches.
+    The step size holds at the configured rate for the first half of the
+    stage's epochs, then decays linearly to rate * 2 / epochs in the last
+    one, so that the weights settle instead of wandering with the batch
+    noise; stages of one or two epochs keep the full rate.  Batch
+    accumulation order follows the shuffled order, which is deterministic
+    for a fixed generator state.  An epoch whose every batch is skipped
+    trained nothing, so it ends the stage as diverged.  Each finished
+    epoch logs one INFO line.
     """
     n = len(sequences)
-    theta = theta.copy()
     velocity = np.zeros_like(theta)
-    losses: list[float] = []
-    norms: list[float] = []
     for epoch in range(epochs):
         lr = config.learning_rate * min(1.0, 2 * (epochs - epoch) / epochs)
         order = shuffle_rng.permutation(n)
@@ -338,7 +332,7 @@ def _run_sgd(
         for start in range(0, n, config.batch_size):
             batch = [sequences[int(i)] for i in order[start:start + config.batch_size]]
             if not np.all(np.isfinite(theta)):
-                return _StageResult(theta, losses, norms, True)
+                return theta, True
             params = ModelParams.unflatten(theta, hidden_map.num_states, feature_config.obs_dim)
             try:
                 if objective == "frame":
@@ -355,9 +349,9 @@ def _run_sgd(
                 skipped += 1
                 continue
             except FloatingPointError:
-                return _StageResult(theta, losses, norms, True)
+                return theta, True
             if not np.isfinite(loss):
-                return _StageResult(theta, losses, norms, True)
+                return theta, True
             step_grad = grad / len(batch)
             velocity = config.momentum * velocity - lr * step_grad
             theta = theta + velocity
@@ -365,7 +359,7 @@ def _run_sgd(
             batch_norms.append(float(np.linalg.norm(step_grad)))
         if not batch_norms:
             logger.warning("epoch %d: every batch was skipped; stopping", epoch + 1)
-            return _StageResult(theta, losses, norms, True)
+            return theta, True
         losses.append(float(epoch_loss))
         norms.append(float(np.mean(batch_norms)))
         logger.info(
@@ -373,120 +367,78 @@ def _run_sgd(
             "skipped batches %d",
             epoch + 1, epochs, objective, losses[-1], norms[-1], lr, skipped,
         )
-    return _StageResult(theta, losses, norms, False)
-
-
-def _stage_rng(seed: int, stage: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stage,)))
-
-
-def _require_labels(sequences: list[Sequence], attr: str) -> None:
-    for seq in sequences:
-        if getattr(seq, attr) is None:
-            raise ValueError(f"sequence {seq.id!r} has no {attr}, required by this mode")
-
-
-def _init_model(
-    dataset: Dataset, config: TrainConfig
-) -> tuple[HiddenStateMap, FeatureConfig, np.ndarray]:
-    hidden_map = HiddenStateMap(dataset.label_set.num_labels, config.hidden_per_label)
-    feature_config = FeatureConfig(input_dim=dataset.dim, window=config.window)
-    params = ModelParams.random_init(
-        hidden_map.num_states, feature_config.obs_dim,
-        seed=config.seed, scale=config.init_scale,
-    )
-    return hidden_map, feature_config, params.flatten()
+    return theta, False
 
 
 def train(dataset: Dataset, config: TrainConfig) -> tuple[Checkpoint, TrainReport]:
     """Train per ``config.mode``; deterministic for fixed seed/config/data.
 
-    Raises TrainingDivergedError (with the partial report and checkpoint
-    attached) if the loss stops being finite or an epoch skips every batch.
+    Every mode is a list of (sequences, epochs, objective) stages run in
+    order from one initialization: ``frame_wise`` and ``unsegmented`` are
+    one frame or CTC stage over the dataset, and ``pretrain_finetune`` is
+    a frame stage on the single-class subsequences of the recorded
+    segments followed by a CTC stage on the full sequences, splitting the
+    epoch budget per ``TrainConfig.stage_epochs``.  Stage k (from 1)
+    shuffles with its own generator spawned from the seed.
+
+    Raises DatasetFormatError when ``pretrain_finetune`` finds no segment
+    boundaries in the dataset meta, ValueError when a sequence lacks the
+    labels its mode trains on, and TrainingDivergedError (with the partial
+    report and checkpoint attached) if the loss stops being finite or an
+    epoch skips every batch; a diverged stage ends the run.
     """
+    pretrain_epochs = None
     if config.mode == "pretrain_finetune":
-        return pretrain_finetune(dataset, config)
-    hidden_map, feature_config, theta = _init_model(dataset, config)
-    blank_id = dataset.label_set.blank_id
-    if config.mode == "frame_wise":
-        _require_labels(dataset.sequences, "frame_labels")
-        objective = "frame"
+        pieces = extract_segment_subsequences(dataset).sequences
+        pretrain_epochs, finetune_epochs = config.stage_epochs()
+        stages = [(pieces, pretrain_epochs, "frame"),
+                  (dataset.sequences, finetune_epochs, "ctc")]
     else:
-        _require_labels(dataset.sequences, "label_seq")
-        objective = "ctc"
-    start = time.perf_counter()
-    result = _run_sgd(
-        dataset.sequences, theta, hidden_map, feature_config, blank_id,
-        config, config.epochs, objective, _stage_rng(config.seed, 1),
-    )
-    return _finish(dataset, config, hidden_map, feature_config, result,
-                   pretrain_epochs=None, started=start)
+        objective = "frame" if config.mode == "frame_wise" else "ctc"
+        stages = [(dataset.sequences, config.epochs, objective)]
+    required = "frame_labels" if config.mode == "frame_wise" else "label_seq"
+    for seq in dataset.sequences:
+        if getattr(seq, required) is None:
+            raise ValueError(f"sequence {seq.id!r} has no {required}, required by this mode")
 
+    hidden_map = HiddenStateMap(dataset.label_set.num_labels, config.hidden_per_label)
+    feature_config = FeatureConfig(input_dim=dataset.dim, window=config.window)
+    theta = ModelParams.random_init(
+        hidden_map.num_states, feature_config.obs_dim,
+        seed=config.seed, scale=config.init_scale,
+    ).flatten()
+    losses: list[float] = []
+    norms: list[float] = []
+    diverged = False
+    started = time.perf_counter()
+    for k, (sequences, epochs, objective) in enumerate(stages, start=1):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(k,)))
+        theta, diverged = _run_sgd(
+            sequences, theta, hidden_map, feature_config, dataset.label_set.blank_id,
+            config, epochs, objective, rng, losses, norms,
+        )
+        if diverged:
+            break
 
-def pretrain_finetune(dataset: Dataset, config: TrainConfig) -> tuple[Checkpoint, TrainReport]:
-    """Frame-wise pretraining on single-class subsequences, then
-    unsegmented fine-tuning on the full sequences, from one epoch budget.
-
-    Requires segment boundaries in the dataset meta (the generator
-    records them); raises DatasetFormatError otherwise.
-    """
-    pieces = extract_segment_subsequences(dataset)
-    _require_labels(dataset.sequences, "label_seq")
-    pre_epochs, fine_epochs = config.stage_epochs()
-    hidden_map, feature_config, theta = _init_model(dataset, config)
-    blank_id = dataset.label_set.blank_id
-    start = time.perf_counter()
-    stage1 = _run_sgd(
-        pieces.sequences, theta, hidden_map, feature_config, blank_id,
-        config, pre_epochs, "frame", _stage_rng(config.seed, 1),
-    )
-    if stage1.diverged:
-        return _finish(dataset, config, hidden_map, feature_config, stage1,
-                       pretrain_epochs=pre_epochs, started=start)
-    stage2 = _run_sgd(
-        dataset.sequences, stage1.theta, hidden_map, feature_config, blank_id,
-        config, fine_epochs, "ctc", _stage_rng(config.seed, 2),
-    )
-    combined = _StageResult(
-        theta=stage2.theta,
-        losses=stage1.losses + stage2.losses,
-        grad_norms=stage1.grad_norms + stage2.grad_norms,
-        diverged=stage2.diverged,
-    )
-    return _finish(dataset, config, hidden_map, feature_config, combined,
-                   pretrain_epochs=pre_epochs, started=start)
-
-
-def _finish(
-    dataset: Dataset,
-    config: TrainConfig,
-    hidden_map: HiddenStateMap,
-    feature_config: FeatureConfig,
-    result: _StageResult,
-    pretrain_epochs: int | None,
-    started: float,
-) -> tuple[Checkpoint, TrainReport]:
     report = TrainReport(
         mode=config.mode,
         grad_mode=config.grad_mode,
-        epochs_completed=len(result.losses),
-        epoch_losses=result.losses,
-        grad_norms=result.grad_norms,
+        epochs_completed=len(losses),
+        epoch_losses=losses,
+        grad_norms=norms,
         pretrain_epochs=pretrain_epochs,
-        diverged=result.diverged,
+        diverged=diverged,
         wall_clock_seconds=time.perf_counter() - started,
     )
-    theta = result.theta
-    if not np.all(np.isfinite(theta)):
-        # keep the checkpoint loadable even when optimization blew up
-        theta = np.where(np.isfinite(theta), theta, 0.0)
+    # keep the checkpoint loadable even when optimization blew up
+    theta = np.where(np.isfinite(theta), theta, 0.0)
     checkpoint = Checkpoint(
         dataset.label_set,
         hidden_map,
         feature_config,
         ModelParams.unflatten(theta, hidden_map.num_states, feature_config.obs_dim),
     )
-    if result.diverged:
+    if diverged:
         raise TrainingDivergedError(
             "training loss became non-finite, or an epoch skipped every batch",
             report=report, checkpoint=checkpoint,

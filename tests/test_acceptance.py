@@ -36,7 +36,6 @@ from seqcrf.trainer import (
     evaluate,
     gradient_check_suite,
     local_vs_exact_divergence,
-    pretrain_finetune,
     train,
 )
 

@@ -7,12 +7,16 @@ import pytest
 import seqcrf
 
 REMOVED = {
-    "seqcrf": ["brute_force_posteriors", "ctc_log_prob", "frame_posterior_check",
-               "node_scores_from_obs", "restricted_log_partition", "windowed_obs"],
+    "seqcrf": ["brute_force_posteriors", "ctc_log_prob", "decode_frames",
+               "frame_posterior_check", "node_scores_from_obs", "pretrain_finetune",
+               "restricted_log_partition", "windowed_obs"],
     "seqcrf.chain": ["BRUTE_FORCE_LIMIT", "brute_force_posteriors",
                      "restricted_log_partition"],
     "seqcrf.ctc": ["ctc_log_prob", "frame_posterior_check"],
     "seqcrf.features": ["node_scores_from_obs", "windowed_obs"],
+    "seqcrf.ldcrf": ["decode_frames"],
+    "seqcrf.trainer": ["_StageResult", "_finish", "_init_model", "_stage_rng",
+                       "pretrain_finetune"],
 }
 
 
@@ -34,6 +38,9 @@ def test_removed_methods_are_gone():
     assert not hasattr(seqcrf.HiddenStateMap, "block")
     assert not hasattr(seqcrf.Dataset, "by_id")
     assert not hasattr(seqcrf.ModelParams, "size")
+    assert not hasattr(seqcrf.ModelParams, "zeros")
+    assert not hasattr(seqcrf.ModelParams, "copy")
+    assert "include_bias" not in seqcrf.FeatureConfig.__dataclass_fields__
     assert "edge_marginals" not in seqcrf.ChainPosteriors.__dataclass_fields__
 
 

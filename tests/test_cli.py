@@ -6,8 +6,11 @@ import sys
 import numpy as np
 import pytest
 
+import seqcrf.cli as cli_mod
+import seqcrf.trainer as trainer_mod
 from seqcrf.cli import (
     EXIT_CONFIG,
+    EXIT_DIVERGED,
     EXIT_GRADCHECK,
     EXIT_IO,
     EXIT_OK,
@@ -19,6 +22,18 @@ from seqcrf.seqdata import load_dataset
 
 def run(*argv):
     return main(list(argv))
+
+
+@pytest.fixture()
+def nan_loss(monkeypatch):
+    """Make every unsegmented batch loss NaN, so training diverges."""
+    real = trainer_mod.ctc_ldcrf_loss_and_grad
+
+    def poisoned(*args, **kwargs):
+        _, grad = real(*args, **kwargs)
+        return float("nan"), grad
+
+    monkeypatch.setattr(trainer_mod, "ctc_ldcrf_loss_and_grad", poisoned)
 
 
 @pytest.fixture()
@@ -109,7 +124,29 @@ class TestTrain:
                                    [{"labels": ["A", "B"], "dim": 1}] + rows) + "\n")
         code = run("train", "--data", str(data), "--out", str(tmp_path / "m.json"))
         assert code == EXIT_IO
-        assert "adjacent" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "adjacent" in err and "repeats.jsonl: line 2" in err
+
+    def test_bad_eval_data_fails_before_training(self, tiny_data, tmp_path, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before loading --eval-data")
+
+        monkeypatch.setattr(cli_mod, "train", no_training)
+        code = run("train", "--data", str(tiny_data), "--out", str(tmp_path / "m.json"),
+                   "--eval-data", str(tmp_path / "missing.jsonl"))
+        assert code == EXIT_IO
+
+    def test_divergence_writes_partial_artifacts_and_exits_4(self, tiny_data, tmp_path,
+                                                             nan_loss):
+        model = tmp_path / "m.json"
+        report = tmp_path / "r.json"
+        code = run("train", "--data", str(tiny_data), "--out", str(model),
+                   "--report", str(report), "--epochs", "2", "--eval-data", str(tiny_data))
+        assert code == EXIT_DIVERGED
+        assert Checkpoint.load(model).hidden_map.states_per_label == 2
+        parsed = json.loads(report.read_text())
+        assert parsed["diverged"] is True
+        assert parsed["evaluation"] is None and parsed["checkpoint_path"] == str(model)
 
     def test_verbose_logs_epochs_without_changing_the_report(self, tiny_data, tmp_path):
         reports = []
@@ -247,6 +284,17 @@ class TestKfold:
             assert report["evaluation"]["frame_accuracy"] == pytest.approx(
                 aggregate["fold_accuracies"][fold]
             )
+
+    def test_divergence_writes_fold_artifacts_and_exits_4(self, tiny_data, tmp_path,
+                                                          nan_loss):
+        out_dir = tmp_path / "folds"
+        code = run("kfold", "--data", str(tiny_data), "--out-dir", str(out_dir),
+                   "--k", "2", "--epochs", "1")
+        assert code == EXIT_DIVERGED
+        Checkpoint.load(out_dir / "fold0_model.json")
+        report = json.loads((out_dir / "fold0_report.json").read_text())
+        assert report["diverged"] is True and report["evaluation"] is None
+        assert not (out_dir / "aggregate.json").exists()
 
     def test_k_larger_than_dataset_is_config_error(self, tiny_data, tmp_path):
         code = run("kfold", "--data", str(tiny_data),

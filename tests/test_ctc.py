@@ -74,6 +74,12 @@ class TestForwardBackward:
             assert tables.log_prob == pytest.approx(
                 brute_force_log_prob(q, z, blank), abs=1e-10
             )
+        # the empty target: a one-position (all-blank) lattice
+        for t in (1, 2, 5):
+            q = random_q(rng, t, 3)
+            tables = ctc_forward_backward(q, [], 2)
+            assert tables.log_alpha.shape == (t, 1)
+            assert tables.log_prob == pytest.approx(brute_force_log_prob(q, [], 2), abs=1e-10)
 
     def test_repeated_label_needs_blank_bridge(self):
         q = np.array([[0.5, 0.5], [0.5, 0.5]])

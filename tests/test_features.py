@@ -14,12 +14,9 @@ from seqcrf.seqdata import LabelSet, Sequence
 
 
 class TestFeatureConfig:
-    @pytest.mark.parametrize(
-        "d,w,bias,expect",
-        [(3, 0, True, 4), (3, 1, True, 10), (2, 2, True, 11), (3, 1, False, 9)],
-    )
-    def test_obs_dim(self, d, w, bias, expect):
-        assert FeatureConfig(input_dim=d, window=w, include_bias=bias).obs_dim == expect
+    @pytest.mark.parametrize("d,w,expect", [(3, 0, 4), (3, 1, 10), (2, 2, 11)])
+    def test_obs_dim(self, d, w, expect):
+        assert FeatureConfig(input_dim=d, window=w).obs_dim == expect
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -97,12 +94,6 @@ class TestModelParams:
         np.testing.assert_array_equal(a.flatten(), b.flatten())
         assert not np.array_equal(a.flatten(), c.flatten())
         assert np.all(np.abs(a.flatten()) <= 0.25)
-
-    def test_copy_is_independent(self):
-        a = ModelParams.zeros(2, 2)
-        b = a.copy()
-        b.state_weights[0, 0] = 5.0
-        assert a.state_weights[0, 0] == 0.0
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

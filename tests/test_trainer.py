@@ -33,7 +33,6 @@ from seqcrf.trainer import (
     gradient_check,
     gradient_check_suite,
     local_vs_exact_divergence,
-    pretrain_finetune,
     train,
 )
 
@@ -114,7 +113,7 @@ class TestCompositeLoss:
         bad = Sequence(id="bad", frames=np.zeros((2, 2)), label_seq=[0, 0])
         hidden_map = HiddenStateMap(2, 1)
         config = FeatureConfig(input_dim=2, window=0)
-        params = ModelParams.zeros(2, config.obs_dim)
+        params = ModelParams(np.zeros((2, config.obs_dim)), np.zeros((2, 2)))
         with pytest.raises(EmptyBatchError):
             ctc_ldcrf_loss_and_grad([bad], params, hidden_map, config, blank_id=1)
 
@@ -122,7 +121,7 @@ class TestCompositeLoss:
         seq = Sequence(id="s", frames=np.zeros((2, 2)))
         hidden_map = HiddenStateMap(2, 1)
         config = FeatureConfig(input_dim=2, window=0)
-        params = ModelParams.zeros(2, config.obs_dim)
+        params = ModelParams(np.zeros((2, config.obs_dim)), np.zeros((2, 2)))
         with pytest.raises(ValueError, match="label_seq"):
             ctc_ldcrf_loss_and_grad([seq], params, hidden_map, config, blank_id=1)
         seq2 = Sequence(id="s", frames=np.zeros((2, 2)), label_seq=[0])
@@ -371,7 +370,7 @@ class TestPretrainFinetune:
                          frame_labels=[0, 0, 1, 1], label_seq=[0, 1])]
         ds = Dataset(label_set=ls, sequences=seqs)
         with pytest.raises(DatasetFormatError):
-            pretrain_finetune(ds, TrainConfig(mode="pretrain_finetune", epochs=2))
+            train(ds, TrainConfig(mode="pretrain_finetune", epochs=2))
 
     def test_zero_finetune_equals_frame_wise_on_subsequences(self):
         from seqcrf.seqdata import extract_segment_subsequences
@@ -380,7 +379,7 @@ class TestPretrainFinetune:
         config = TrainConfig(
             mode="pretrain_finetune", epochs=4, pretrain_epochs=4, seed=1
         )
-        ck_two_stage, report = pretrain_finetune(ds, config)
+        ck_two_stage, report = train(ds, config)
         pieces = extract_segment_subsequences(ds)
         ck_frame, _ = train(
             pieces,
@@ -391,25 +390,18 @@ class TestPretrainFinetune:
         )
         assert report.pretrain_epochs == 4
 
-    def test_mode_dispatch_through_train(self):
-        ds = small_gen(seed=3)
-        config = TrainConfig(mode="pretrain_finetune", epochs=2, seed=5)
-        ck_direct, _ = pretrain_finetune(ds, config)
-        ck_via_train, _ = train(ds, config)
-        assert ck_direct.to_json() == ck_via_train.to_json()
-
     def test_deterministic_across_both_stages(self):
         ds = small_gen(noise=0.2, seed=9)
         config = TrainConfig(mode="pretrain_finetune", epochs=4, seed=7)
-        ck1, rep1 = pretrain_finetune(ds, config)
-        ck2, rep2 = pretrain_finetune(ds, config)
+        ck1, rep1 = train(ds, config)
+        ck2, rep2 = train(ds, config)
         assert ck1.to_json() == ck2.to_json()
         assert rep1.to_json() == rep2.to_json()
 
     def test_loss_trace_covers_both_stages(self):
         ds = small_gen(seed=2)
         config = TrainConfig(mode="pretrain_finetune", epochs=5, pretrain_epochs=2, seed=0)
-        _, report = pretrain_finetune(ds, config)
+        _, report = train(ds, config)
         assert report.epochs_completed == 5
         assert len(report.epoch_losses) == 5
 
