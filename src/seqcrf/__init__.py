@@ -37,7 +37,6 @@ from .ldcrf import (
     frame_label_marginals,
     label_marginals,
     ldcrf_frame_objective,
-    sequence_label_likelihood,
 )
 from .seqdata import (
     BLANK_NAME,
@@ -119,7 +118,6 @@ __all__ = [
     "remap_blank_predictions",
     "roc_curve",
     "save_dataset",
-    "sequence_label_likelihood",
     "train",
     "viterbi",
 ]

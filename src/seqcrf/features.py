@@ -55,11 +55,6 @@ class HiddenStateMap:
     def num_states(self) -> int:
         return self.num_labels * self.states_per_label
 
-    def label_of_state(self, state: int) -> int:
-        if not 0 <= state < self.num_states:
-            raise ValueError(f"state {state} out of range")
-        return state // self.states_per_label
-
     def state_owner(self) -> np.ndarray:
         """Length-H vector giving the owning label of every hidden state."""
         return np.repeat(np.arange(self.num_labels), self.states_per_label)

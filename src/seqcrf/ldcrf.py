@@ -47,24 +47,6 @@ def _allowed_mask(frame_labels: list[int], hidden_map: HiddenStateMap) -> np.nda
     return owner[None, :] == labels[:, None]  # (T, H)
 
 
-def sequence_label_likelihood(
-    seq: Sequence, params: ModelParams, hidden_map: HiddenStateMap, config: FeatureConfig
-) -> float:
-    """log P(frame labeling | x): restricted path sum minus free log partition.
-
-    Computed by masking each frame to the labeled block and re-running
-    the forward pass, so the cost stays O(T * H^2).
-    """
-    if seq.frame_labels is None:
-        raise ValueError(f"sequence {seq.id!r} has no frame_labels")
-    scores = node_scores(seq, params, config)
-    free = forward_backward(scores, params.trans_weights)
-    restricted = masked_forward_backward(
-        scores, params.trans_weights, _allowed_mask(seq.frame_labels, hidden_map)
-    )
-    return restricted.log_z - free.log_z
-
-
 def ldcrf_frame_objective(
     batch: list[Sequence],
     params: ModelParams,
@@ -74,6 +56,9 @@ def ldcrf_frame_objective(
 ) -> tuple[float, np.ndarray]:
     """Negative frame-supervised log-likelihood plus L2, with exact gradient.
 
+    Per sequence the data term is free log Z minus the log partition of
+    the chain restricted to each frame's labeled block, so for one
+    sequence and l2 = 0 the loss is exactly -log P(frame labeling | x).
     The gradient is the classic difference of feature expectations under
     the free chain and the label-restricted chain, plus 2*l2*theta,
     returned flat in the ModelParams layout.
@@ -108,4 +93,4 @@ def decode_frames_viterbi(
 ) -> list[int]:
     """Joint most-probable hidden path, mapped to owning labels."""
     path, _ = viterbi(node_scores(seq, params, config), params.trans_weights)
-    return [hidden_map.label_of_state(int(s)) for s in path]
+    return hidden_map.state_owner()[path].tolist()

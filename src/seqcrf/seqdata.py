@@ -570,7 +570,7 @@ def remap_blank_predictions(
     """Replace blank predictions before frame-accuracy scoring.
 
     policy "previous": each blank takes the nearest preceding non-blank
-    label; leading blanks take the nearest following one; an all-blank
+    label; leading blanks take the first non-blank one; an all-blank
     sequence maps to label 0.  policy "keep" leaves blanks in place (they
     then score as errors).
     """
@@ -579,20 +579,13 @@ def remap_blank_predictions(
     if policy != "previous":
         raise ValueError(f"unknown blank policy {policy!r}")
     out = [int(a) for a in labels]
-    last = None
+    last = next((a for a in out if a != blank_id), 0)
     for i, a in enumerate(out):
-        if a != blank_id:
-            last = a
-        elif last is not None:
+        if a == blank_id:
             out[i] = last
-    # leading blanks: borrow the first non-blank that follows
-    nxt = None
-    for i in range(len(out) - 1, -1, -1):
-        if out[i] != blank_id:
-            nxt = out[i]
-        elif nxt is not None:
-            out[i] = nxt
-    return [0 if a == blank_id else a for a in out]
+        else:
+            last = a
+    return out
 
 
 def roc_curve(

@@ -32,7 +32,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-import time
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -147,8 +146,8 @@ class TrainConfig:
 
 @dataclass
 class TrainReport:
-    """What happened during a run; serializes without wall-clock by default
-    so reports are byte-identical across repeated runs.
+    """What happened during a run; it holds no wall-clock time, so reports
+    are byte-identical across repeated runs.
 
     ``epoch_losses`` sums each epoch's batch losses.  Unsegmented epochs
     report the prior-normalized loss -sum log P(z | q / prior) plus the
@@ -165,16 +164,12 @@ class TrainReport:
     diverged: bool = False
     checkpoint_path: str | None = None
     evaluation: dict | None = None
-    wall_clock_seconds: float = 0.0
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        out = dataclasses.asdict(self)
-        if not include_timing:
-            del out["wall_clock_seconds"]
-        return out
+    def to_dict(self) -> dict:
+        return dataclasses.asdict(self)
 
-    def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.to_dict(include_timing), sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +203,8 @@ def ctc_ldcrf_loss_and_grad(
 
     Sequences whose target cannot be aligned, or whose alignment mass
     underflows to zero, are skipped with a logged warning; if that
-    leaves nothing, EmptyBatchError is raised.
+    leaves nothing, EmptyBatchError is raised.  Label marginals that are
+    not finite (scores too large for the chain) raise FloatingPointError.
     """
     if grad_mode not in GRAD_MODES:
         raise ValueError(f"grad_mode must be one of {GRAD_MODES}, got {grad_mode!r}")
@@ -222,7 +218,10 @@ def ctc_ldcrf_loss_and_grad(
         obs = observation_matrix(seq, feature_config)
         scores = obs @ params.state_weights.T
         post = forward_backward(scores, params.trans_weights)
-        forward.append((seq, obs, scores, post, frame_label_marginals(post, hidden_map)))
+        q = frame_label_marginals(post, hidden_map)
+        if not np.all(np.isfinite(q)):
+            raise FloatingPointError(f"label marginals of sequence {seq.id!r} are not finite")
+        forward.append((seq, obs, scores, post, q))
     # per-label factor on q; also scales the error table, since the prior
     # is a constant for the gradient
     if label_prior:
@@ -318,8 +317,9 @@ def _run_sgd(
     noise; stages of one or two epochs keep the full rate.  Batch
     accumulation order follows the shuffled order, which is deterministic
     for a fixed generator state.  An epoch whose every batch is skipped
-    trained nothing, so it ends the stage as diverged.  Each finished
-    epoch logs one INFO line.
+    trained nothing, so it ends the stage as diverged, and so does a loss
+    or an update that is not finite; the returned ``theta`` is then the
+    last finite one.  Each finished epoch logs one INFO line.
     """
     n = len(sequences)
     velocity = np.zeros_like(theta)
@@ -331,8 +331,6 @@ def _run_sgd(
         skipped = 0
         for start in range(0, n, config.batch_size):
             batch = [sequences[int(i)] for i in order[start:start + config.batch_size]]
-            if not np.all(np.isfinite(theta)):
-                return theta, True
             params = ModelParams.unflatten(theta, hidden_map.num_states, feature_config.obs_dim)
             try:
                 if objective == "frame":
@@ -350,11 +348,12 @@ def _run_sgd(
                 continue
             except FloatingPointError:
                 return theta, True
-            if not np.isfinite(loss):
-                return theta, True
             step_grad = grad / len(batch)
             velocity = config.momentum * velocity - lr * step_grad
-            theta = theta + velocity
+            updated = theta + velocity
+            if not np.isfinite(loss) or not np.all(np.isfinite(updated)):
+                return theta, True
+            theta = updated
             epoch_loss += loss
             batch_norms.append(float(np.linalg.norm(step_grad)))
         if not batch_norms:
@@ -384,8 +383,9 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Checkpoint, TrainRepor
     Raises DatasetFormatError when ``pretrain_finetune`` finds no segment
     boundaries in the dataset meta, ValueError when a sequence lacks the
     labels its mode trains on, and TrainingDivergedError (with the partial
-    report and checkpoint attached) if the loss stops being finite or an
-    epoch skips every batch; a diverged stage ends the run.
+    report and the checkpoint of the last finite weights attached) if the
+    loss or the weights stop being finite or an epoch skips every batch; a
+    diverged stage ends the run.
     """
     pretrain_epochs = None
     if config.mode == "pretrain_finetune":
@@ -410,7 +410,6 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Checkpoint, TrainRepor
     losses: list[float] = []
     norms: list[float] = []
     diverged = False
-    started = time.perf_counter()
     for k, (sequences, epochs, objective) in enumerate(stages, start=1):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(k,)))
         theta, diverged = _run_sgd(
@@ -428,10 +427,7 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Checkpoint, TrainRepor
         grad_norms=norms,
         pretrain_epochs=pretrain_epochs,
         diverged=diverged,
-        wall_clock_seconds=time.perf_counter() - started,
     )
-    # keep the checkpoint loadable even when optimization blew up
-    theta = np.where(np.isfinite(theta), theta, 0.0)
     checkpoint = Checkpoint(
         dataset.label_set,
         hidden_map,
@@ -507,9 +503,8 @@ def evaluate(
     """
     marginals = dataset_label_marginals(dataset, checkpoint)
     label_set = checkpoint.label_set
-    binary = len(label_set.real_names) == 2
     pos_id: int | None = None
-    if binary:
+    if len(label_set.real_names) == 2:
         pos_name = positive_label if positive_label is not None else label_set.real_names[-1]
         pos_id = label_set.id_of(pos_name)
         if pos_id == label_set.blank_id:
@@ -517,60 +512,40 @@ def evaluate(
     elif positive_label is not None:
         raise ValueError("positive_label only applies to binary label sets")
 
-    preds: dict[str, list[int]] = {}
-    truths: dict[str, list[int]] = {}
-    scores: list[float] = []
-    score_truth: list[int] = []
+    # id -> (prediction, truth, positive-label scores), in dataset order
+    table: dict[str, tuple[list[int], list[int], np.ndarray | None]] = {}
     for seq, q in marginals:
         if seq.frame_labels is None:
             raise ValueError(f"sequence {seq.id!r} has no frame_labels; cannot score")
-        raw = [int(a) for a in np.argmax(q, axis=1)]
-        preds[seq.id] = remap_blank_predictions(raw, label_set.blank_id, policy=blank_policy)
-        truths[seq.id] = list(seq.frame_labels)
-        if binary:
-            scores.extend(float(v) for v in q[:, pos_id])
-            score_truth.extend(int(t == pos_id) for t in seq.frame_labels)
+        pred = remap_blank_predictions(np.argmax(q, axis=1).tolist(), label_set.blank_id,
+                                       policy=blank_policy)
+        table[seq.id] = (pred, seq.frame_labels, None if pos_id is None else q[:, pos_id])
 
-    ordered = [seq.id for seq in dataset.sequences]
-    accuracy = frame_accuracy([preds[i] for i in ordered], [truths[i] for i in ordered])
-    confusion = confusion_matrix(
-        [preds[i] for i in ordered], [truths[i] for i in ordered], label_set.num_labels
-    )
-
-    fold_accuracies = None
-    fold_mean = None
-    if fold_plan is not None:
-        fold_accuracies = []
-        for fold in range(fold_plan.k):
-            ids = [sid for sid in fold_plan.fold_ids(fold) if sid in preds]
-            if not ids:
-                raise ValueError(f"fold {fold} contains no scored sequences")
-            fold_accuracies.append(
-                frame_accuracy([preds[i] for i in ids], [truths[i] for i in ids])
-            )
-        fold_mean = float(np.mean(fold_accuracies))
-
-    roc_points = None
-    auc = None
-    pos_name_out = None
-    if binary:
-        pos_name_out = label_set.name_of(pos_id)
-        if 0 < sum(score_truth) < len(score_truth):
-            points, auc = roc_curve(scores, score_truth)
-            roc_points = [[float(x), float(y)] for x, y in points]
-
-    return EvalReport(
-        frame_accuracy=accuracy,
+    preds, truths, scores = zip(*table.values())
+    report = EvalReport(
+        frame_accuracy=frame_accuracy(preds, truths),
         num_sequences=len(dataset.sequences),
-        num_frames=sum(len(t) for t in truths.values()),
-        confusion=confusion.tolist(),
+        num_frames=sum(map(len, truths)),
+        confusion=confusion_matrix(preds, truths, label_set.num_labels).tolist(),
         blank_policy=blank_policy,
-        fold_accuracies=fold_accuracies,
-        fold_mean_accuracy=fold_mean,
-        roc_points=roc_points,
-        roc_auc=auc,
-        positive_label=pos_name_out,
     )
+    if fold_plan is not None:
+        report.fold_accuracies = []
+        for fold in range(fold_plan.k):
+            rows = [table[sid] for sid in fold_plan.fold_ids(fold) if sid in table]
+            if not rows:
+                raise ValueError(f"fold {fold} contains no scored sequences")
+            report.fold_accuracies.append(
+                frame_accuracy([r[0] for r in rows], [r[1] for r in rows])
+            )
+        report.fold_mean_accuracy = float(np.mean(report.fold_accuracies))
+    if pos_id is not None:
+        report.positive_label = label_set.name_of(pos_id)
+        truth = np.equal(np.concatenate(truths), pos_id)
+        if 0 < truth.sum() < truth.size:
+            points, report.roc_auc = roc_curve(np.concatenate(scores), truth)
+            report.roc_points = [[float(x), float(y)] for x, y in points]
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -620,22 +595,14 @@ def gradient_check(
 
 def _random_instance(
     rng: np.random.Generator,
-    max_frames: int = 6,
-    max_states: int = 4,
-    max_dim: int = 4,
-    param_scale: float = 0.5,
 ) -> tuple[Sequence, ModelParams, HiddenStateMap, FeatureConfig, int]:
     """Small random model + sequence with a feasible target, for the
-    finite-difference and mode-comparison sweeps."""
-    combos = [
-        (labels, h)
-        for labels in range(2, max_states + 1)
-        for h in range(1, max_states + 1)
-        if labels * h <= max_states
-    ]
+    finite-difference and mode-comparison sweeps: at most 6 frames, 4
+    hidden states and 4 input dimensions, weights uniform in [-0.5, 0.5]."""
+    combos = [(labels, h) for labels in range(2, 5) for h in range(1, 5) if labels * h <= 4]
     num_labels, h = combos[int(rng.integers(len(combos)))]
-    t = int(rng.integers(2, max_frames + 1))
-    d = int(rng.integers(1, max_dim + 1))
+    t = int(rng.integers(2, 7))
+    d = int(rng.integers(1, 5))
     hidden_map = HiddenStateMap(num_labels, h)
     feature_config = FeatureConfig(input_dim=d, window=int(rng.integers(0, 2)))
     blank_id = num_labels - 1
@@ -646,12 +613,8 @@ def _random_instance(
             break
     seq = Sequence(id="probe", frames=rng.normal(size=(t, d)), label_seq=z)
     params = ModelParams(
-        state_weights=rng.uniform(
-            -param_scale, param_scale, size=(hidden_map.num_states, feature_config.obs_dim)
-        ),
-        trans_weights=rng.uniform(
-            -param_scale, param_scale, size=(hidden_map.num_states, hidden_map.num_states)
-        ),
+        state_weights=rng.uniform(-0.5, 0.5, size=(hidden_map.num_states, feature_config.obs_dim)),
+        trans_weights=rng.uniform(-0.5, 0.5, size=(hidden_map.num_states, hidden_map.num_states)),
     )
     return seq, params, hidden_map, feature_config, blank_id
 

@@ -21,7 +21,7 @@ from seqcrf.features import (
     HiddenStateMap,
     ModelParams,
 )
-from seqcrf.ldcrf import sequence_label_likelihood
+from seqcrf.ldcrf import ldcrf_frame_objective
 from seqcrf.seqdata import (
     Dataset,
     GeneratorConfig,
@@ -118,7 +118,7 @@ def test_criterion_02_sequence_likelihood_exact_and_complete():
             frame_labels = [int(a) for a in rng.integers(0, labels, size=t)]
             seq = Sequence(id="s", frames=rng.normal(size=(t, d)),
                            frame_labels=frame_labels)
-            got = sequence_label_likelihood(seq, params, hidden_map, config)
+            got = -ldcrf_frame_objective([seq], params, hidden_map, config)[0]
             scores = params.state_weights @ np.concatenate(
                 [seq.frames, np.ones((t, 1))], axis=1).T
             expect = _enumerate_label_log_lik(
@@ -138,7 +138,7 @@ def test_criterion_02_sequence_likelihood_exact_and_complete():
             for labeling in itertools.product(range(labels), repeat=t):
                 seq = Sequence(id="s", frames=frames, frame_labels=list(labeling))
                 total += math.exp(
-                    sequence_label_likelihood(seq, params, hidden_map, config)
+                    -ldcrf_frame_objective([seq], params, hidden_map, config)[0]
                 )
             worst_total = max(worst_total, abs(total - 1.0))
         info["detail"] = f"max lik error {worst:.3e}, completeness gap {worst_total:.3e}"

@@ -9,12 +9,12 @@ import seqcrf
 REMOVED = {
     "seqcrf": ["brute_force_posteriors", "ctc_log_prob", "decode_frames",
                "frame_posterior_check", "node_scores_from_obs", "pretrain_finetune",
-               "restricted_log_partition", "windowed_obs"],
+               "restricted_log_partition", "sequence_label_likelihood", "windowed_obs"],
     "seqcrf.chain": ["BRUTE_FORCE_LIMIT", "brute_force_posteriors",
                      "restricted_log_partition"],
     "seqcrf.ctc": ["ctc_log_prob", "frame_posterior_check"],
     "seqcrf.features": ["node_scores_from_obs", "windowed_obs"],
-    "seqcrf.ldcrf": ["decode_frames"],
+    "seqcrf.ldcrf": ["decode_frames", "sequence_label_likelihood"],
     "seqcrf.trainer": ["_StageResult", "_finish", "_init_model", "_stage_rng",
                        "pretrain_finetune"],
 }
@@ -36,6 +36,7 @@ def test_removed_names_are_gone(module):
 
 def test_removed_methods_are_gone():
     assert not hasattr(seqcrf.HiddenStateMap, "block")
+    assert not hasattr(seqcrf.HiddenStateMap, "label_of_state")
     assert not hasattr(seqcrf.Dataset, "by_id")
     assert not hasattr(seqcrf.ModelParams, "size")
     assert not hasattr(seqcrf.ModelParams, "zeros")

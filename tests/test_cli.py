@@ -148,6 +148,25 @@ class TestTrain:
         assert parsed["diverged"] is True
         assert parsed["evaluation"] is None and parsed["checkpoint_path"] == str(model)
 
+    @pytest.mark.parametrize("epochs, batch_size, lr", [
+        ("1", "8", "1e308"),  # the run's last update overflows to inf
+        ("3", "2", "1e150"),  # finite weights too large for the chain: NaN marginals
+    ], ids=["last-update-overflows", "huge-finite-weights"])
+    def test_overflowing_run_ends_as_diverged(self, tmp_path, epochs, batch_size, lr):
+        data = tmp_path / "data.jsonl"
+        assert run("gen", "--out", str(data), "--classes", "3", "--dim", "2",
+                   "--sequences", "4", "--segments", "2..3", "--seg-len", "4..6",
+                   "--seed", "0") == EXIT_OK
+        model = tmp_path / "m.json"
+        report = tmp_path / "r.json"
+        with np.errstate(all="ignore"):
+            code = run("train", "--data", str(data), "--out", str(model),
+                       "--report", str(report), "--mode", "unsegmented", "--momentum", "0",
+                       "--epochs", epochs, "--batch-size", batch_size, "--lr", lr)
+        assert code == EXIT_DIVERGED
+        assert np.all(np.isfinite(Checkpoint.load(model).params.flatten()))
+        assert json.loads(report.read_text())["diverged"] is True
+
     def test_verbose_logs_epochs_without_changing_the_report(self, tiny_data, tmp_path):
         reports = []
         for flags in ([], ["--verbose"]):

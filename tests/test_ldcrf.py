@@ -12,7 +12,6 @@ from seqcrf.ldcrf import (
     frame_label_marginals,
     label_marginals,
     ldcrf_frame_objective,
-    sequence_label_likelihood,
 )
 from seqcrf.seqdata import Sequence
 
@@ -27,6 +26,11 @@ def make_instance(rng, t, num_labels, h, d=3, window=0, scale=0.6):
     labels = [int(a) for a in rng.integers(0, num_labels, size=t)]
     seq = Sequence(id="t", frames=rng.normal(size=(t, d)), frame_labels=labels)
     return seq, params, hidden_map, config
+
+
+def label_log_lik(seq, params, hidden_map, config):
+    """log P(frame labeling | x): minus the frame objective of one sequence at l2 = 0."""
+    return -ldcrf_frame_objective([seq], params, hidden_map, config)[0]
 
 
 def enumeration_log_lik(scores, trans, owner, labels):
@@ -88,7 +92,7 @@ class TestSequenceLabelLikelihood:
             expect = enumeration_log_lik(
                 scores, params.trans_weights, hidden_map.state_owner(), seq.frame_labels
             )
-            got = sequence_label_likelihood(seq, params, hidden_map, config)
+            got = label_log_lik(seq, params, hidden_map, config)
             assert got == pytest.approx(expect, abs=1e-10)
 
     def test_labelings_form_a_distribution(self):
@@ -99,7 +103,7 @@ class TestSequenceLabelLikelihood:
             for labeling in itertools.product(range(num_labels), repeat=t):
                 labeled = Sequence(id="x", frames=seq.frames, frame_labels=list(labeling))
                 total += math.exp(
-                    sequence_label_likelihood(labeled, params, hidden_map, config)
+                    label_log_lik(labeled, params, hidden_map, config)
                 )
             assert total == pytest.approx(1.0, abs=1e-8)
 
@@ -121,7 +125,7 @@ class TestSequenceLabelLikelihood:
                 den = np.logaddexp(den, s)
             return num - den
 
-        got = sequence_label_likelihood(seq, params, hidden_map, config)
+        got = label_log_lik(seq, params, hidden_map, config)
         assert got == pytest.approx(crf_log_lik(seq.frame_labels), abs=1e-10)
 
     def test_requires_frame_labels(self):
@@ -130,7 +134,7 @@ class TestSequenceLabelLikelihood:
         config = FeatureConfig(input_dim=3, window=0)
         params = ModelParams(np.zeros((2, config.obs_dim)), np.zeros((2, 2)))
         with pytest.raises(ValueError):
-            sequence_label_likelihood(seq, params, hidden_map, config)
+            label_log_lik(seq, params, hidden_map, config)
 
 
 class TestFrameObjective:
