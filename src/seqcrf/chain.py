@@ -2,15 +2,15 @@
 
 The chain distribution is Gibbs: P(h | x) proportional to
 exp(sum_j score[j, h_j] + sum_j trans[h_j, h_{j+1}]), with one shared
-transition matrix across all adjacent pairs.  One forward recursion
-serves node marginals, the masked (restricted) chain, expected
-transition counts and the adjoint; in the max semiring it is Viterbi's.
-Messages run in the log domain with a plain-numpy max-shifted
-log-sum-exp, so score magnitudes up to a few hundred cause no overflow,
-and they are returned with the posteriors so that ``transition_counts``
-and ``fb_adjoint`` reuse them instead of recomputing them.  The message
-passes build no per-frame (T-1, H, H) edge table; ``transition_counts``
-forms one and sums it on the spot.
+transition matrix across all adjacent pairs.  Every recursion (forward
+and backward messages, Viterbi's max, both sweeps of the adjoint, and
+the CTC lattice in ctc.py) is one call to ``scan``; a backward one scans
+the reversed inputs.  Messages run in the log domain with a plain-numpy
+max-shifted log-sum-exp, so score magnitudes up to a few hundred cause
+no overflow, and they are returned with the posteriors so that
+``transition_counts`` and ``fb_adjoint`` reuse them instead of
+recomputing them.  The message passes build no per-frame (T-1, H, H)
+edge table; ``transition_counts`` forms one and sums it on the spot.
 
 Conventions: trans[a, b] scores a transition from state a at position j
 to state b at position j+1.
@@ -52,14 +52,14 @@ def _logsumexp(x: np.ndarray, axis: int | None = None) -> np.ndarray:
     return np.log(np.exp(x - m).sum(axis=axis)) + np.squeeze(m, axis=axis)
 
 
-def _forward(scores: np.ndarray, trans: np.ndarray, reduce) -> np.ndarray:
-    """Forward messages: row j is scores[j] plus ``reduce`` over the previous
-    state of row j-1 + trans.  _logsumexp gives log alpha, np.maximum.reduce
-    Viterbi's best prefix scores."""
-    out = np.empty(scores.shape)
-    out[0] = scores[0]
-    for j in range(1, scores.shape[0]):
-        out[j] = scores[j] + reduce(out[j - 1][:, None] + trans, axis=0)
+def scan(first, inputs: np.ndarray, step) -> np.ndarray:
+    """The frame loop of every recursion: out[0] = first and
+    out[j] = step(j - 1, out[j - 1] + inputs[j - 1]); inputs[-1] is never
+    read.  A backward recursion is the scan over reversed inputs."""
+    out = np.empty(inputs.shape)
+    out[0] = prev = first
+    for j, x in enumerate(inputs[:-1]):
+        out[j + 1] = prev = step(j, prev + x)
     return out
 
 
@@ -67,14 +67,12 @@ def _posteriors(scores: np.ndarray, trans: np.ndarray) -> ChainPosteriors:
     """Forward/backward log messages and the marginals they give.
 
     Tolerates -inf entries in scores as long as every frame keeps a
-    finite one, so every max below is finite.
+    finite one, so every max below is finite.  The forward scan starts
+    at -0.0 because x + -0.0 is x bit for bit.
     """
-    t, h = scores.shape
-    log_alpha = _forward(scores, trans, _logsumexp)
-    log_beta = np.zeros((t, h))
-    for j in range(t - 2, -1, -1):
-        log_beta[j] = _logsumexp(trans + (scores[j + 1] + log_beta[j + 1])[None, :], axis=1)
-    log_z = float(_logsumexp(log_alpha[t - 1]))
+    log_alpha = scores + scan(-0.0, scores, lambda _, v: _logsumexp(v[:, None] + trans, axis=0))
+    log_beta = scan(0.0, scores[::-1], lambda _, v: _logsumexp(trans + v[None, :], axis=1))[::-1]
+    log_z = float(_logsumexp(log_alpha[-1]))
     node = np.exp(log_alpha + log_beta - log_z)
     return ChainPosteriors(log_z, node, scores, log_alpha, log_beta)
 
@@ -120,7 +118,9 @@ def viterbi(node_scores: np.ndarray, trans_weights: np.ndarray) -> tuple[np.ndar
     """Max-score hidden path and its score; ties go to the lower state index."""
     node_scores = _finite("node_scores", node_scores)
     trans_weights = _finite("trans_weights", trans_weights)
-    delta = _forward(node_scores, trans_weights, np.maximum.reduce)
+    delta = node_scores + scan(
+        -0.0, node_scores, lambda _, v: np.maximum.reduce(v[:, None] + trans_weights, axis=0)
+    )
     # back[j, b]: best state at frame j given state b at frame j+1; argmax
     # takes the first index on ties
     back = np.argmax(delta[:-1, :, None] + trans_weights, axis=1)
@@ -157,7 +157,6 @@ def fb_adjoint(
     if log_alpha.shape != node_scores.shape or not np.all(np.isfinite(log_alpha)):
         raise ValueError("posteriors must be forward_backward's output for node_scores")
 
-    t = node_scores.shape[0]
     marg = posteriors.node_marginals
     weighted = upstream * marg
 
@@ -167,9 +166,7 @@ def fb_adjoint(
     r = np.exp(
         trans_weights + (node_scores[1:] + log_beta[1:])[:, None, :] - log_beta[:-1, :, None]
     )
-    carry = np.zeros_like(weighted)
-    for j in range(t - 1):
-        carry[j + 1] = (weighted[j] + carry[j]) @ r[j]
+    carry = scan(0.0, weighted, lambda j, v: v @ r[j])
     grad_trans = np.einsum("ja,jab->ab", weighted[:-1] + carry[:-1], r)
 
     # reverse sweep of the forward recursion through the column-softmax
@@ -178,10 +175,8 @@ def fb_adjoint(
     q = np.exp(
         log_alpha[:-1, :, None] + trans_weights - (log_alpha[1:] - node_scores[1:])[:, None, :]
     )
-    alpha_bar = weighted.copy()
-    alpha_bar[t - 1] -= float(np.sum(weighted)) * marg[t - 1]
-    for j in range(t - 1, 0, -1):
-        alpha_bar[j - 1] += q[j - 1] @ alpha_bar[j]
+    weighted[-1] -= float(np.sum(weighted)) * marg[-1]
+    alpha_bar = weighted + scan(-0.0, weighted[::-1], lambda j, v: q[-1 - j] @ v)[::-1]
     grad_trans += np.einsum("jab,jb->ab", q, alpha_bar[1:])
 
     return carry + alpha_bar, grad_trans

@@ -178,6 +178,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if report.epoch_losses:
         print(f"trained {report.epochs_completed} epochs, "
               f"final epoch loss {report.epoch_losses[-1]}")
+    elif report.diverged:
+        print("diverged before finishing an epoch; checkpoint holds the last finite weights")
     else:
         print("no epochs run; checkpoint is the raw initialization")
     return EXIT_DIVERGED if report.diverged else EXIT_OK

@@ -14,6 +14,7 @@ from typing import Sequence as SequenceT
 
 import numpy as np
 
+from .chain import scan
 from .seqdata import collapse
 
 Q_FLOOR = 1e-300
@@ -57,6 +58,15 @@ def _validate_target(z: SequenceT[int], num_labels: int, blank_id: int) -> list[
     return z
 
 
+def _lattice_step(prev: np.ndarray, skip: np.ndarray) -> np.ndarray:
+    """One frame of the lattice: each path stays on its position, advances
+    by one, or jumps two where ``skip`` allows it."""
+    acc = prev.copy()
+    acc[1:] = np.logaddexp(acc[1:], prev[:-1])
+    acc[2:] = np.logaddexp(acc[2:], prev[:-2] + skip)
+    return acc
+
+
 def ctc_forward_backward(q: np.ndarray, z: SequenceT[int], blank_id: int) -> CtcTables:
     """Alignment lattice and log P(z | x) for one sequence.
 
@@ -82,32 +92,17 @@ def ctc_forward_backward(q: np.ndarray, z: SequenceT[int], blank_id: int) -> Ctc
     with np.errstate(divide="ignore"):
         emit = np.log(q)[:, aug]  # (T, S)
 
-    # a position may be entered by a skip of two iff it is a non-blank
-    # differing from the label two back
-    skip_ok = np.zeros(s, dtype=bool)
-    skip_ok[2:] = (aug[2:] != blank_id) & (aug[2:] != aug[:-2])
-
-    neg_inf = -np.inf
-    log_alpha = np.full((t, s), neg_inf)
-    log_alpha[0, :2] = emit[0, :2]
-    for j in range(1, t):
-        prev = log_alpha[j - 1]
-        acc = prev.copy()
-        acc[1:] = np.logaddexp(acc[1:], prev[:-1])
-        acc[2:] = np.logaddexp(acc[2:], np.where(skip_ok[2:], prev[:-2], neg_inf))
-        log_alpha[j] = emit[j] + acc
+    # skip[i] is 0 if the path may jump from position i to i + 2 (onto a
+    # non-blank differing from the label two back), else -inf.  Reversed, it
+    # is the skip vector of the reversed target, whose lattice beta runs on.
+    skip = np.where((aug[2:] != blank_id) & (aug[2:] != aug[:-2]), 0.0, -np.inf)
+    skip_rev = skip[::-1]
+    first = np.full(s, -np.inf)
+    first[:2] = 0.0  # paths start on the first two positions and, reversed, end on the last two
+    log_alpha = emit + scan(first, emit, lambda _, v: _lattice_step(v, skip))
     # the path ends on the last label or the trailing blank
-    log_prob = float(np.logaddexp.reduce(log_alpha[t - 1, -2:]))
-
-    log_beta = np.full((t, s), neg_inf)
-    log_beta[t - 1, -2:] = 0.0
-    for j in range(t - 2, -1, -1):
-        nxt = log_beta[j + 1] + emit[j + 1]
-        acc = nxt.copy()
-        acc[:-1] = np.logaddexp(acc[:-1], nxt[1:])
-        acc[:-2] = np.logaddexp(acc[:-2], np.where(skip_ok[2:], nxt[2:], neg_inf))
-        log_beta[j] = acc
-
+    log_prob = float(np.logaddexp.reduce(log_alpha[-1, -2:]))
+    log_beta = scan(first, emit[::-1, ::-1], lambda _, v: _lattice_step(v, skip_rev))[::-1, ::-1]
     return CtcTables(augmented=aug, log_alpha=log_alpha, log_beta=log_beta, log_prob=log_prob)
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -46,7 +47,12 @@ from .ctc import (
     min_frames_required,
 )
 from .features import Checkpoint, FeatureConfig, HiddenStateMap, ModelParams, observation_matrix
-from .ldcrf import frame_label_marginals, label_marginals, ldcrf_frame_objective
+from .ldcrf import (
+    frame_label_marginals,
+    label_marginals,
+    ldcrf_frame_objective,
+    require_normalized,
+)
 from .seqdata import (
     Dataset,
     FoldPlan,
@@ -106,16 +112,16 @@ class TrainConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.grad_mode not in GRAD_MODES:
             raise ValueError(f"grad_mode must be one of {GRAD_MODES}, got {self.grad_mode!r}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+            raise ValueError("learning_rate must be positive and finite")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must lie in [0, 1)")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.l2 < 0:
-            raise ValueError("l2 must be >= 0")
+        if not (self.l2 >= 0 and math.isfinite(self.l2)):
+            raise ValueError("l2 must be finite and >= 0")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
         if self.window < 0:
@@ -124,8 +130,9 @@ class TrainConfig:
             raise ValueError("hidden_per_label must be >= 1")
         if self.pretrain_epochs is not None and not 0 <= self.pretrain_epochs <= self.epochs:
             raise ValueError("pretrain_epochs must lie in [0, epochs]")
-        if self.init_scale < 0:
-            raise ValueError("init_scale must be >= 0")
+        # the initial weights are drawn from a range of width 2 * init_scale
+        if not (self.init_scale >= 0 and math.isfinite(2 * self.init_scale)):
+            raise ValueError("init_scale must be >= 0 with 2 * init_scale finite")
 
     def stage_epochs(self) -> tuple[int, int]:
         """(pretraining epochs, fine-tuning epochs) summing to ``epochs``."""
@@ -203,8 +210,9 @@ def ctc_ldcrf_loss_and_grad(
 
     Sequences whose target cannot be aligned, or whose alignment mass
     underflows to zero, are skipped with a logged warning; if that
-    leaves nothing, EmptyBatchError is raised.  Label marginals that are
-    not finite (scores too large for the chain) raise FloatingPointError.
+    leaves nothing, EmptyBatchError is raised.  Label marginals whose rows
+    do not sum to one (scores too large for the chain) raise
+    FloatingPointError.
     """
     if grad_mode not in GRAD_MODES:
         raise ValueError(f"grad_mode must be one of {GRAD_MODES}, got {grad_mode!r}")
@@ -219,8 +227,7 @@ def ctc_ldcrf_loss_and_grad(
         scores = obs @ params.state_weights.T
         post = forward_backward(scores, params.trans_weights)
         q = frame_label_marginals(post, hidden_map)
-        if not np.all(np.isfinite(q)):
-            raise FloatingPointError(f"label marginals of sequence {seq.id!r} are not finite")
+        require_normalized(q, f"label marginals of sequence {seq.id!r}")
         forward.append((seq, obs, scores, post, q))
     # per-label factor on q; also scales the error table, since the prior
     # is a constant for the gradient
@@ -384,8 +391,8 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Checkpoint, TrainRepor
     boundaries in the dataset meta, ValueError when a sequence lacks the
     labels its mode trains on, and TrainingDivergedError (with the partial
     report and the checkpoint of the last finite weights attached) if the
-    loss or the weights stop being finite or an epoch skips every batch; a
-    diverged stage ends the run.
+    loss or the weights stop being finite, the marginals stop summing to
+    one, or an epoch skips every batch; a diverged stage ends the run.
     """
     pretrain_epochs = None
     if config.mode == "pretrain_finetune":
@@ -506,9 +513,10 @@ def evaluate(
     pos_id: int | None = None
     if len(label_set.real_names) == 2:
         pos_name = positive_label if positive_label is not None else label_set.real_names[-1]
+        if pos_name not in label_set.real_names:
+            raise ValueError(f"positive label must be one of {list(label_set.real_names)}, "
+                             f"got {pos_name!r}")
         pos_id = label_set.id_of(pos_name)
-        if pos_id == label_set.blank_id:
-            raise ValueError("positive label may not be the blank")
     elif positive_label is not None:
         raise ValueError("positive_label only applies to binary label sets")
 

@@ -150,9 +150,9 @@ class TestTrain:
 
     @pytest.mark.parametrize("epochs, batch_size, lr", [
         ("1", "8", "1e308"),  # the run's last update overflows to inf
-        ("3", "2", "1e150"),  # finite weights too large for the chain: NaN marginals
+        ("3", "2", "1e150"),  # finite weights too large for the chain's marginals
     ], ids=["last-update-overflows", "huge-finite-weights"])
-    def test_overflowing_run_ends_as_diverged(self, tmp_path, epochs, batch_size, lr):
+    def test_overflowing_run_ends_as_diverged(self, tmp_path, capsys, epochs, batch_size, lr):
         data = tmp_path / "data.jsonl"
         assert run("gen", "--out", str(data), "--classes", "3", "--dim", "2",
                    "--sequences", "4", "--segments", "2..3", "--seg-len", "4..6",
@@ -166,6 +166,32 @@ class TestTrain:
         assert code == EXIT_DIVERGED
         assert np.all(np.isfinite(Checkpoint.load(model).params.flatten()))
         assert json.loads(report.read_text())["diverged"] is True
+        out = capsys.readouterr().out
+        assert "diverged before finishing an epoch" in out and "raw initialization" not in out
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--init-scale", "1e308"), ("--init-scale", "inf"), ("--init-scale", "nan"),
+        ("--lr", "nan"), ("--lr", "inf"), ("--l2", "nan"), ("--l2", "inf"),
+    ])
+    def test_non_finite_hyperparameter_is_config_error(self, tiny_data, tmp_path, capsys,
+                                                       flag, value):
+        code = run("train", "--data", str(tiny_data), "--out", str(tmp_path / "m.json"),
+                   "--epochs", "1", flag, value)
+        assert code == EXIT_CONFIG
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_local_grad_mode_trains(self, tiny_data, tmp_path):
+        reports = {}
+        for mode in ("exact", "local"):
+            code = run("train", "--data", str(tiny_data), "--out", str(tmp_path / f"{mode}.json"),
+                       "--report", str(tmp_path / f"{mode}_report.json"),
+                       "--epochs", "2", "--grad-mode", mode)
+            assert code == EXIT_OK
+            reports[mode] = json.loads((tmp_path / f"{mode}_report.json").read_text())
+        assert reports["local"]["grad_mode"] == "local"
+        assert reports["local"]["epochs_completed"] == 2
+        assert (tmp_path / "local.json").read_text() != (tmp_path / "exact.json").read_text()
 
     def test_verbose_logs_epochs_without_changing_the_report(self, tiny_data, tmp_path):
         reports = []
@@ -263,6 +289,17 @@ class TestEvalAndDecode:
         code = run("eval", "--data", str(tiny_data), "--model", str(trained))
         assert code == EXIT_IO
         assert "theta" in capsys.readouterr().err
+
+    def test_unknown_positive_label_is_config_error(self, tmp_path, capsys):
+        data = tmp_path / "binary.jsonl"
+        model = tmp_path / "m.json"
+        assert run("gen", "--out", str(data), "--classes", "2", "--dim", "2",
+                   "--sequences", "4", "--segments", "2..3", "--seg-len", "4..6") == EXIT_OK
+        assert run("train", "--data", str(data), "--out", str(model), "--epochs", "1") == EXIT_OK
+        code = run("eval", "--data", str(data), "--model", str(model),
+                   "--positive-label", "nope")
+        assert code == EXIT_CONFIG
+        assert "'nope'" in capsys.readouterr().err
 
     def test_truncated_checkpoint_is_io_error(self, tiny_data, trained):
         trained.write_text(trained.read_text()[:40])

@@ -190,6 +190,14 @@ class TestFrameObjective:
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
         assert np.any(grad != 0.0)
 
+    def test_marginals_off_unit_mass_raise(self):
+        # weights near 1e12: the loss stays finite, the marginals do not sum to one
+        rng = np.random.default_rng(1)
+        seq, params, hidden_map, config = make_instance(rng, t=30, num_labels=2, h=3)
+        params = ModelParams(params.state_weights * 1e12, params.trans_weights * 1e12)
+        with pytest.raises(FloatingPointError, match="do not sum to one"):
+            ldcrf_frame_objective([seq], params, hidden_map, config)
+
 
 class TestDecoding:
     def test_viterbi_decode_maps_states_to_owners(self):

@@ -130,6 +130,20 @@ class TestCompositeLoss:
                 [seq2], params, hidden_map, config, blank_id=1, grad_mode="approx"
             )
 
+    def test_marginals_off_unit_mass_end_the_batch(self):
+        # weights near 1e12 round the chain's messages so coarsely that the
+        # marginals stop summing to one; the lattice would still return a
+        # finite (here negative) loss from them
+        rng = np.random.default_rng(1)
+        hidden_map = HiddenStateMap(2, 3)
+        config = FeatureConfig(input_dim=2, window=0)
+        state = rng.normal(size=(6, config.obs_dim)) * 1e12
+        state[:3, -1] += 1e13  # label 0 wins every frame, so [0] stays alignable
+        params = ModelParams(state, rng.normal(size=(6, 6)) * 1e12)
+        seq = Sequence(id="huge", frames=rng.normal(size=(30, 2)), label_seq=[0])
+        with pytest.raises(FloatingPointError, match="do not sum to one"):
+            ctc_ldcrf_loss_and_grad([seq], params, hidden_map, config, blank_id=1)
+
 
 class TestGradientChecks:
     def test_exact_mode_matches_finite_differences(self):
@@ -253,6 +267,13 @@ class TestTrainConfig:
             dict(hidden_per_label=0),
             dict(pretrain_epochs=31),
             dict(init_scale=-0.1),
+            dict(learning_rate=math.nan),
+            dict(learning_rate=math.inf),
+            dict(l2=math.nan),
+            dict(l2=math.inf),
+            dict(init_scale=math.nan),
+            dict(init_scale=math.inf),
+            dict(init_scale=1e308),  # uniform's range 2 * init_scale overflows
         ],
     )
     def test_rejects_bad_values(self, kw):
