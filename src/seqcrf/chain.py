@@ -68,17 +68,21 @@ def _posteriors(scores: np.ndarray, trans: np.ndarray) -> ChainPosteriors:
 
     Tolerates -inf entries in scores as long as every frame keeps a
     finite one, so every max below is finite.  The forward scan starts
-    at -0.0 because x + -0.0 is x bit for bit.
+    at -0.0 because x + -0.0 is x bit for bit.  FloatingPointError unless
+    every marginal row sums to 1 within 1e-6; NaN fails that too.
     """
     log_alpha = scores + scan(-0.0, scores, lambda _, v: _logsumexp(v[:, None] + trans, axis=0))
     log_beta = scan(0.0, scores[::-1], lambda _, v: _logsumexp(trans + v[None, :], axis=1))[::-1]
     log_z = float(_logsumexp(log_alpha[-1]))
     node = np.exp(log_alpha + log_beta - log_z)
+    if not np.all(np.abs(node.sum(axis=1) - 1.0) <= 1e-6):
+        raise FloatingPointError("chain marginals do not sum to one; scores overflow float64")
     return ChainPosteriors(log_z, node, scores, log_alpha, log_beta)
 
 
 def forward_backward(node_scores: np.ndarray, trans_weights: np.ndarray) -> ChainPosteriors:
-    """Exact log partition function plus node marginals."""
+    """Exact log partition function plus node marginals; FloatingPointError
+    when scores too large for float64 keep the marginals from summing to one."""
     node_scores = _finite("node_scores", node_scores)
     trans_weights = _finite("trans_weights", trans_weights)
     return _posteriors(node_scores, trans_weights)

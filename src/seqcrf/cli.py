@@ -9,7 +9,8 @@ Exit codes:
     0  success
     1  unexpected internal error
     2  invalid usage or configuration (including bad config-file keys)
-    3  file I/O failure, or a malformed dataset or checkpoint file
+    3  file I/O failure, a malformed dataset or checkpoint file, or a
+       checkpoint whose scores overflow the chain on the given data
     4  training diverged or an epoch skipped every batch (partial report
        still written when possible)
     5  gradient check exceeded the threshold
@@ -150,18 +151,18 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _train_and_write(dataset: Dataset, eval_set: Dataset | None, config: TrainConfig,
                      model_path: str, report_path: str | None,
                      blank_policy: str) -> TrainReport:
-    """Train, score ``eval_set`` (if given) and write the checkpoint and the
-    report.  A diverged run writes its partial ones, unscored, and returns
-    a report with ``diverged`` set."""
+    """Train, write the checkpoint, then score ``eval_set`` (if given) and
+    write the report.  A diverged run writes its partial ones, unscored,
+    and returns a report with ``diverged`` set."""
     try:
         checkpoint, report = train(dataset, config)
     except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         checkpoint, report = exc.checkpoint, exc.report
-    if eval_set is not None and not report.diverged:
-        report.evaluation = evaluate(eval_set, checkpoint, blank_policy=blank_policy).to_dict()
     report.checkpoint_path = model_path
     checkpoint.save(model_path)
+    if eval_set is not None and not report.diverged:
+        report.evaluation = evaluate(eval_set, checkpoint, blank_policy=blank_policy).to_dict()
     if report_path:
         atomic_write_text(report_path, report.to_json() + "\n")
     return report
@@ -258,9 +259,7 @@ def _cmd_kfold(args: argparse.Namespace) -> int:
 
 
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
-    worst = gradient_check_suite(
-        trials=args.trials, seed=args.seed, step=args.step, grad_mode=args.grad_mode
-    )
+    worst = gradient_check_suite(trials=args.trials, seed=args.seed, step=args.step)
     print(f"max relative error: {worst} over {args.trials} trials")
     if worst < args.threshold:
         return EXIT_OK
@@ -339,12 +338,11 @@ def build_parser() -> argparse.ArgumentParser:
     kf.set_defaults(func=_cmd_kfold)
 
     gc = sub.add_parser("gradcheck", help="finite-difference check of the "
-                                          "composite gradient")
+                                          "exact composite gradient")
     gc.add_argument("--trials", type=int, default=100)
     gc.add_argument("--seed", type=int, default=1)
     gc.add_argument("--step", type=float, default=1e-5)
     gc.add_argument("--threshold", type=float, default=1e-5)
-    gc.add_argument("--grad-mode", dest="grad_mode", default="exact", choices=GRAD_MODES)
     gc.set_defaults(func=_cmd_gradcheck)
 
     return parser
@@ -365,6 +363,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (DatasetFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except FloatingPointError as exc:  # only scoring; training catches its own
+        print(f"error: the checkpoint cannot score this data: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -193,11 +193,10 @@ class Checkpoint:
         feature_config = FeatureConfig(
             input_dim=int(payload["input_dim"]), window=int(payload["window"])
         )
-        params = ModelParams.unflatten(
-            np.asarray(payload["theta"], dtype=np.float64),
-            hidden_map.num_states,
-            feature_config.obs_dim,
-        )
+        theta = np.asarray(payload["theta"], dtype=np.float64)
+        if not np.all(np.isfinite(theta)):
+            raise ValueError("theta must be finite")
+        params = ModelParams.unflatten(theta, hidden_map.num_states, feature_config.obs_dim)
         return cls(label_set, hidden_map, feature_config, params)
 
     @classmethod

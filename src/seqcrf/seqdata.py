@@ -475,13 +475,37 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> Dataset:
 
 
 def segment_boundaries(dataset: Dataset, seq_id: str) -> list[tuple[int, int, int]]:
-    """(start, end, label_id) segments recorded in meta for one sequence."""
+    """(start, end, label_id) segments recorded in meta for one sequence.
+
+    Raises DatasetFormatError unless the entry is a JSON list of
+    [start, end, label] triples with 0 <= start < end <= the sequence's
+    frame count and a real (non-blank) label name.
+    """
     key = SEGMENTS_META_PREFIX + seq_id
     if key not in dataset.meta:
         raise DatasetFormatError(f"dataset meta carries no segment boundaries for {seq_id!r}")
+    where = f"segment boundaries of sequence {seq_id!r}"
+    try:
+        entries = json.loads(dataset.meta[key])
+    except json.JSONDecodeError as exc:
+        raise DatasetFormatError(f"{where}: bad JSON: {exc}") from None
+    if not isinstance(entries, list):
+        raise DatasetFormatError(f"{where} must be a list of [start, end, label] triples")
+    num_frames = next(s.num_frames for s in dataset.sequences if s.id == seq_id)
+    real = dataset.label_set.real_names
     out = []
-    for start, end, name in json.loads(dataset.meta[key]):
-        out.append((int(start), int(end), dataset.label_set.id_of(name)))
+    for entry in entries:
+        if not (isinstance(entry, list) and len(entry) == 3
+                and isinstance(entry[0], int) and isinstance(entry[1], int)):
+            raise DatasetFormatError(f"{where}: {entry!r} is not a [start, end, label] triple")
+        start, end, name = entry
+        if not 0 <= start < end <= num_frames:
+            raise DatasetFormatError(
+                f"{where}: [{start}, {end}) does not fit 0 <= start < end <= {num_frames}"
+            )
+        if name not in real:
+            raise DatasetFormatError(f"{where}: {name!r} is not a real label name")
+        out.append((start, end, dataset.label_set.id_of(name)))
     return out
 
 

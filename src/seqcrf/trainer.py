@@ -47,12 +47,7 @@ from .ctc import (
     min_frames_required,
 )
 from .features import Checkpoint, FeatureConfig, HiddenStateMap, ModelParams, observation_matrix
-from .ldcrf import (
-    frame_label_marginals,
-    label_marginals,
-    ldcrf_frame_objective,
-    require_normalized,
-)
+from .ldcrf import frame_label_marginals, label_marginals, ldcrf_frame_objective
 from .seqdata import (
     Dataset,
     FoldPlan,
@@ -71,7 +66,7 @@ GRAD_MODES = ("exact", "local")
 
 
 class TrainingDivergedError(RuntimeError):
-    """Loss became non-finite or an epoch skipped every batch; carries the
+    """Training stopped early, for the cause its message names; carries the
     partial report and checkpoint."""
 
     def __init__(self, message: str, report: "TrainReport | None" = None,
@@ -112,6 +107,8 @@ class TrainConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.grad_mode not in GRAD_MODES:
             raise ValueError(f"grad_mode must be one of {GRAD_MODES}, got {self.grad_mode!r}")
+        if self.mode == "frame_wise" and self.grad_mode != "exact":
+            raise ValueError("grad_mode only acts on the CTC objective; frame_wise takes 'exact'")
         if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
             raise ValueError("learning_rate must be positive and finite")
         if not 0 <= self.momentum < 1:
@@ -227,7 +224,6 @@ def ctc_ldcrf_loss_and_grad(
         scores = obs @ params.state_weights.T
         post = forward_backward(scores, params.trans_weights)
         q = frame_label_marginals(post, hidden_map)
-        require_normalized(q, f"label marginals of sequence {seq.id!r}")
         forward.append((seq, obs, scores, post, q))
     # per-label factor on q; also scales the error table, since the prior
     # is a constant for the gradient
@@ -311,22 +307,24 @@ def _run_sgd(
     shuffle_rng: np.random.Generator,
     losses: list[float],
     norms: list[float],
-) -> tuple[np.ndarray, bool]:
+) -> tuple[np.ndarray, str | None]:
     """Mini-batch gradient descent with momentum for one stage.
 
-    Returns (theta, diverged) and appends each finished epoch's summed
-    loss and mean gradient norm to ``losses`` and ``norms``; the given
-    ``theta`` is never written into.  The step uses the batch-mean
-    gradient so the learning rate keeps its meaning for partial batches.
-    The step size holds at the configured rate for the first half of the
-    stage's epochs, then decays linearly to rate * 2 / epochs in the last
-    one, so that the weights settle instead of wandering with the batch
-    noise; stages of one or two epochs keep the full rate.  Batch
+    Returns (theta, cause), where cause is None unless the stage stopped
+    early, and appends each finished epoch's summed loss and mean gradient
+    norm to ``losses`` and ``norms``; the given ``theta`` is never written
+    into.  The step uses the batch-mean gradient so the learning rate
+    keeps its meaning for partial batches.  The step size holds at the
+    configured rate for the first half of the stage's epochs, then decays
+    linearly to rate * 2 / epochs in the last one, so that the weights
+    settle instead of wandering with the batch noise; stages of one or two
+    epochs keep the full rate.  Batch
     accumulation order follows the shuffled order, which is deterministic
     for a fixed generator state.  An epoch whose every batch is skipped
-    trained nothing, so it ends the stage as diverged, and so does a loss
-    or an update that is not finite; the returned ``theta`` is then the
-    last finite one.  Each finished epoch logs one INFO line.
+    trained nothing, so it ends the stage as diverged, and so do marginals
+    off unit mass and a loss or an update that is not finite; ``cause``
+    then names which, and the returned ``theta`` is the last finite one.
+    Each finished epoch logs one INFO line.
     """
     n = len(sequences)
     velocity = np.zeros_like(theta)
@@ -353,19 +351,21 @@ def _run_sgd(
                 logger.warning("batch starting at %d skipped entirely", start)
                 skipped += 1
                 continue
-            except FloatingPointError:
-                return theta, True
+            except FloatingPointError as exc:
+                return theta, str(exc)
+            if not np.isfinite(loss):
+                return theta, "training loss became non-finite"
             step_grad = grad / len(batch)
             velocity = config.momentum * velocity - lr * step_grad
             updated = theta + velocity
-            if not np.isfinite(loss) or not np.all(np.isfinite(updated)):
-                return theta, True
+            if not np.all(np.isfinite(updated)):
+                return theta, "a weight update overflowed"
             theta = updated
             epoch_loss += loss
             batch_norms.append(float(np.linalg.norm(step_grad)))
         if not batch_norms:
             logger.warning("epoch %d: every batch was skipped; stopping", epoch + 1)
-            return theta, True
+            return theta, f"epoch {epoch + 1} skipped every batch"
         losses.append(float(epoch_loss))
         norms.append(float(np.mean(batch_norms)))
         logger.info(
@@ -373,7 +373,7 @@ def _run_sgd(
             "skipped batches %d",
             epoch + 1, epochs, objective, losses[-1], norms[-1], lr, skipped,
         )
-    return theta, False
+    return theta, None
 
 
 def train(dataset: Dataset, config: TrainConfig) -> tuple[Checkpoint, TrainReport]:
@@ -387,12 +387,13 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Checkpoint, TrainRepor
     epoch budget per ``TrainConfig.stage_epochs``.  Stage k (from 1)
     shuffles with its own generator spawned from the seed.
 
-    Raises DatasetFormatError when ``pretrain_finetune`` finds no segment
-    boundaries in the dataset meta, ValueError when a sequence lacks the
-    labels its mode trains on, and TrainingDivergedError (with the partial
-    report and the checkpoint of the last finite weights attached) if the
-    loss or the weights stop being finite, the marginals stop summing to
-    one, or an epoch skips every batch; a diverged stage ends the run.
+    Raises DatasetFormatError when ``pretrain_finetune`` finds missing or
+    malformed segment boundaries in the dataset meta, ValueError when a
+    sequence lacks the labels its mode trains on, and TrainingDivergedError
+    (with the partial report and the checkpoint of the last finite weights
+    attached) if the loss or the weights stop being finite, the marginals
+    stop summing to one, or an epoch skips every batch; a diverged stage
+    ends the run, and the error's message names the cause.
     """
     pretrain_epochs = None
     if config.mode == "pretrain_finetune":
@@ -416,14 +417,14 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Checkpoint, TrainRepor
     ).flatten()
     losses: list[float] = []
     norms: list[float] = []
-    diverged = False
+    cause = None
     for k, (sequences, epochs, objective) in enumerate(stages, start=1):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(k,)))
-        theta, diverged = _run_sgd(
+        theta, cause = _run_sgd(
             sequences, theta, hidden_map, feature_config, dataset.label_set.blank_id,
             config, epochs, objective, rng, losses, norms,
         )
-        if diverged:
+        if cause is not None:
             break
 
     report = TrainReport(
@@ -433,7 +434,7 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Checkpoint, TrainRepor
         epoch_losses=losses,
         grad_norms=norms,
         pretrain_epochs=pretrain_epochs,
-        diverged=diverged,
+        diverged=cause is not None,
     )
     checkpoint = Checkpoint(
         dataset.label_set,
@@ -441,11 +442,9 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Checkpoint, TrainRepor
         feature_config,
         ModelParams.unflatten(theta, hidden_map.num_states, feature_config.obs_dim),
     )
-    if diverged:
-        raise TrainingDivergedError(
-            "training loss became non-finite, or an epoch skipped every batch",
-            report=report, checkpoint=checkpoint,
-        )
+    if cause is not None:
+        raise TrainingDivergedError(f"training diverged: {cause}",
+                                    report=report, checkpoint=checkpoint)
     return checkpoint, report
 
 
@@ -567,20 +566,18 @@ def gradient_check(
     hidden_map: HiddenStateMap,
     feature_config: FeatureConfig,
     blank_id: int,
-    grad_mode: str = "exact",
     l2: float = 0.0,
     step: float = 1e-5,
     label_prior: bool = False,
 ) -> float:
-    """Worst deviation between the analytic gradient and central finite
+    """Worst deviation between the exact analytic gradient and central finite
     differences of the composite loss, relative to max(1, |a|, |b|).
 
     With ``label_prior`` the differences are taken with the prior held at
     its value at theta, which is what the analytic gradient assumes.
     """
     _, grad = ctc_ldcrf_loss_and_grad(
-        [seq], params, hidden_map, feature_config, blank_id,
-        grad_mode=grad_mode, l2=l2, label_prior=label_prior,
+        [seq], params, hidden_map, feature_config, blank_id, l2=l2, label_prior=label_prior
     )
     prior = None
     if label_prior:
@@ -631,7 +628,6 @@ def gradient_check_suite(
     trials: int = 100,
     seed: int = 1,
     step: float = 1e-5,
-    grad_mode: str = "exact",
     l2: float = 1e-3,
     label_prior: bool = False,
 ) -> float:
@@ -643,8 +639,7 @@ def gradient_check_suite(
         worst = max(
             worst,
             gradient_check(seq, params, hidden_map, feature_config, blank_id,
-                           grad_mode=grad_mode, l2=l2, step=step,
-                           label_prior=label_prior),
+                           l2=l2, step=step, label_prior=label_prior),
         )
     return worst
 

@@ -106,6 +106,19 @@ class TestForwardBackward:
         with pytest.raises(ValueError):
             forward_backward(np.array([[0.0, np.inf]]), np.zeros((2, 2)))
 
+    def test_marginals_off_unit_mass_raise(self):
+        # scores near 1e12 round the float64 messages so coarsely that the
+        # marginal rows miss unit mass (by 1.6e-2 here), though all are finite
+        rng = np.random.default_rng(0)
+        scores = rng.normal(size=(30, 6)) * 1e12
+        trans = rng.normal(size=(6, 6)) * 1e12
+        allowed = rng.random((30, 6)) < 0.5
+        allowed[:, 3] = True
+        with pytest.raises(FloatingPointError, match="do not sum to one"):
+            forward_backward(scores, trans)
+        with pytest.raises(FloatingPointError, match="do not sum to one"):
+            masked_forward_backward(scores, trans, allowed)
+
 
 class TestMaskedForwardBackward:
     def test_matches_restricted_enumeration(self):

@@ -148,11 +148,14 @@ class TestTrain:
         assert parsed["diverged"] is True
         assert parsed["evaluation"] is None and parsed["checkpoint_path"] == str(model)
 
-    @pytest.mark.parametrize("epochs, batch_size, lr", [
-        ("1", "8", "1e308"),  # the run's last update overflows to inf
-        ("3", "2", "1e150"),  # finite weights too large for the chain's marginals
+    @pytest.mark.parametrize("epochs, batch_size, lr, cause", [
+        # the run's last update overflows to inf
+        ("1", "8", "1e308", "a weight update overflowed"),
+        # finite weights too large for the chain's marginals
+        ("3", "2", "1e150", "do not sum to one"),
     ], ids=["last-update-overflows", "huge-finite-weights"])
-    def test_overflowing_run_ends_as_diverged(self, tmp_path, capsys, epochs, batch_size, lr):
+    def test_overflowing_run_ends_as_diverged(self, tmp_path, capsys, epochs, batch_size, lr,
+                                              cause):
         data = tmp_path / "data.jsonl"
         assert run("gen", "--out", str(data), "--classes", "3", "--dim", "2",
                    "--sequences", "4", "--segments", "2..3", "--seg-len", "4..6",
@@ -166,8 +169,42 @@ class TestTrain:
         assert code == EXIT_DIVERGED
         assert np.all(np.isfinite(Checkpoint.load(model).params.flatten()))
         assert json.loads(report.read_text())["diverged"] is True
-        out = capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert cause in captured.err
+        out = captured.out
         assert "diverged before finishing an epoch" in out and "raw initialization" not in out
+
+    def test_eval_data_that_cannot_be_scored_keeps_the_checkpoint(self, tiny_data, tmp_path,
+                                                                 capsys, monkeypatch):
+        def overflowing(*args, **kwargs):
+            raise FloatingPointError("chain marginals do not sum to one")
+
+        monkeypatch.setattr(cli_mod, "evaluate", overflowing)
+        model = tmp_path / "m.json"
+        code = run("train", "--data", str(tiny_data), "--out", str(model), "--epochs", "1",
+                   "--report", str(tmp_path / "r.json"), "--eval-data", str(tiny_data))
+        assert code == EXIT_IO
+        assert "do not sum to one" in capsys.readouterr().err
+        Checkpoint.load(model)
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("entry", [
+        '[[0,6,"C"]', "7", '[[0,999,"A"]]', "[[0,3]]", '[[0,3,"<blank>"]]', '[[5,3,"A"]]',
+    ], ids=["bad-json", "not-a-list", "past-the-end", "not-a-triple", "blank-label",
+            "end-before-start"])
+    def test_malformed_segment_metadata_is_io_error(self, tmp_path, capsys, entry):
+        data = tmp_path / "data.jsonl"
+        assert run("gen", "--out", str(data), "--classes", "3", "--dim", "2",
+                   "--sequences", "6", "--segments", "2..3", "--seg-len", "4..6",
+                   "--seed", "0") == EXIT_OK
+        header, *rows = data.read_text().splitlines()
+        meta = json.loads(header)
+        meta["meta"]["segments/seq0"] = entry
+        data.write_text("\n".join([json.dumps(meta), *rows]) + "\n")
+        code = run("train", "--data", str(data), "--out", str(tmp_path / "m.json"),
+                   "--mode", "pretrain_finetune", "--epochs", "2")
+        assert code == EXIT_IO
+        assert "segment boundaries of sequence 'seq0'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value", [
         ("--init-scale", "1e308"), ("--init-scale", "inf"), ("--init-scale", "nan"),
@@ -301,6 +338,27 @@ class TestEvalAndDecode:
         assert code == EXIT_CONFIG
         assert "'nope'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_non_finite_checkpoint_weight_is_io_error(self, tiny_data, trained, capsys, value):
+        payload = json.loads(trained.read_text())
+        payload["theta"][0] = float(value)
+        trained.write_text(json.dumps(payload))
+        for command in ("eval", "decode"):
+            assert run(command, "--data", str(tiny_data), "--model", str(trained)) == EXIT_IO
+        assert "theta must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "decode"])
+    def test_checkpoint_overflowing_the_chain_is_io_error(self, tiny_data, trained, capsys,
+                                                          command):
+        # weights times 1e12 leave the chain's marginal rows off unit mass
+        payload = json.loads(trained.read_text())
+        payload["theta"] = [w * 1e12 for w in payload["theta"]]
+        trained.write_text(json.dumps(payload))
+        code = run(command, "--data", str(tiny_data), "--model", str(trained))
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert "do not sum to one" in err and "Traceback" not in err
+
     def test_truncated_checkpoint_is_io_error(self, tiny_data, trained):
         trained.write_text(trained.read_text()[:40])
         code = run("decode", "--data", str(tiny_data), "--model", str(trained))
@@ -369,6 +427,11 @@ class TestGradcheck:
                    "--threshold", "1e-18")
         assert code == EXIT_GRADCHECK
         assert "exceeds threshold" in capsys.readouterr().err
+
+    def test_grad_mode_flag_is_gone(self):
+        # the local mode only approximates the gradient, so checking it
+        # against finite differences could only fail
+        assert run("gradcheck", "--trials", "2", "--grad-mode", "local") == EXIT_CONFIG
 
 
 class TestParser:

@@ -197,6 +197,8 @@ class TestFrameObjective:
         params = ModelParams(params.state_weights * 1e12, params.trans_weights * 1e12)
         with pytest.raises(FloatingPointError, match="do not sum to one"):
             ldcrf_frame_objective([seq], params, hidden_map, config)
+        with pytest.raises(FloatingPointError, match="do not sum to one"):
+            label_marginals(seq, params, hidden_map, config)
 
 
 class TestDecoding:

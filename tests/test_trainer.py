@@ -274,6 +274,7 @@ class TestTrainConfig:
             dict(init_scale=math.nan),
             dict(init_scale=math.inf),
             dict(init_scale=1e308),  # uniform's range 2 * init_scale overflows
+            dict(mode="frame_wise", grad_mode="local"),  # frame_wise has no local mode
         ],
     )
     def test_rejects_bad_values(self, kw):
