@@ -66,7 +66,6 @@ from .trainer import (
     evaluate,
     gradient_check,
     gradient_check_suite,
-    local_vs_exact_divergence,
     train,
 )
 
@@ -109,7 +108,6 @@ __all__ = [
     "label_marginals",
     "ldcrf_frame_objective",
     "load_dataset",
-    "local_vs_exact_divergence",
     "make_folds",
     "masked_forward_backward",
     "min_frames_required",

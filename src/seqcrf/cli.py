@@ -8,7 +8,7 @@ the same inputs and seeds produce byte-identical files.
 Exit codes:
     0  success
     1  unexpected internal error
-    2  invalid usage or configuration (including bad config-file keys)
+    2  invalid usage or configuration (including bad config-file keys or value types)
     3  file I/O failure, a malformed dataset or checkpoint file, or a
        checkpoint whose scores overflow the chain on the given data
     4  training diverged or an epoch skipped every batch (partial report
@@ -259,7 +259,9 @@ def _cmd_kfold(args: argparse.Namespace) -> int:
 
 
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
-    worst = gradient_check_suite(trials=args.trials, seed=args.seed, step=args.step)
+    # training divides q by the batch label prior, so check that gradient as well
+    worst = max(gradient_check_suite(trials=args.trials, seed=args.seed, step=args.step,
+                                     label_prior=prior) for prior in (False, True))
     print(f"max relative error: {worst} over {args.trials} trials")
     if worst < args.threshold:
         return EXIT_OK

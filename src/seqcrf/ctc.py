@@ -119,8 +119,7 @@ def ctc_error_table(tables: CtcTables, q: np.ndarray) -> np.ndarray:
     t, num_labels = q.shape
     gamma = tables.log_alpha + tables.log_beta  # (T, S)
     log_num = np.full((t, num_labels), -np.inf)
-    for s, a in enumerate(tables.augmented):
-        log_num[:, a] = np.logaddexp(log_num[:, a], gamma[:, s])
+    np.logaddexp.at(log_num.T, tables.augmented, gamma.T)  # positions in order, as a loop would
     used = np.unique(tables.augmented)
     if np.any(q[:, used] == 0.0):
         warnings.warn(

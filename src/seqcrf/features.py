@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqdata import DatasetFormatError, LabelSet, Sequence, atomic_write_text
+from .seqdata import BLANK_NAME, DatasetFormatError, LabelSet, Sequence, atomic_write_text
 
 
 @dataclass(frozen=True)
@@ -184,18 +184,28 @@ class Checkpoint:
 
     @classmethod
     def from_json(cls, text: str) -> "Checkpoint":
+        """Inverse of ``to_json``.  A value of a type it does not write, or a
+        ``blank_id`` other than the last label's index, raises DatasetFormatError;
+        ``load`` reports every failure here as a malformed file."""
         payload = json.loads(text)
-        label_set = LabelSet(names=tuple(payload["labels"]), blank_id=int(payload["blank_id"]))
-        hidden_map = HiddenStateMap(
-            num_labels=label_set.num_labels,
-            states_per_label=int(payload["states_per_label"]),
-        )
-        feature_config = FeatureConfig(
-            input_dim=int(payload["input_dim"]), window=int(payload["window"])
-        )
-        theta = np.asarray(payload["theta"], dtype=np.float64)
+        if not isinstance(payload["labels"], list):
+            raise DatasetFormatError("labels must be a list")
+        label_set = LabelSet(tuple(payload["labels"]))
+        ints = {k: payload[k] for k in ("blank_id", "states_per_label", "input_dim", "window")}
+        for key, value in ints.items():
+            if type(value) is not int:  # not bool, nor a float such as 2.0
+                raise DatasetFormatError(f"{key} must be an integer, got {value!r}")
+        if ints["blank_id"] != label_set.blank_id:
+            raise DatasetFormatError(f"blank_id {ints['blank_id']} is not {label_set.blank_id}, "
+                                     f"the index of the last label, {BLANK_NAME!r}")
+        theta = payload["theta"]
+        if not isinstance(theta, list) or not all(type(x) in (int, float) for x in theta):
+            raise DatasetFormatError("theta must be a flat list of numbers")
+        theta = np.asarray(theta, dtype=np.float64)
         if not np.all(np.isfinite(theta)):
-            raise ValueError("theta must be finite")
+            raise DatasetFormatError("theta must be finite")
+        hidden_map = HiddenStateMap(label_set.num_labels, ints["states_per_label"])
+        feature_config = FeatureConfig(input_dim=ints["input_dim"], window=ints["window"])
         params = ModelParams.unflatten(theta, hidden_map.num_states, feature_config.obs_dim)
         return cls(label_set, hidden_map, feature_config, params)
 

@@ -35,28 +35,27 @@ class DatasetFormatError(ValueError):
 
 @dataclass(frozen=True)
 class LabelSet:
-    """Ordered label names with a reserved blank label at the last index."""
+    """Ordered label names; the reserved blank label is always the last."""
 
     names: tuple[str, ...]
-    blank_id: int
 
     def __post_init__(self) -> None:
+        if not all(isinstance(n, str) for n in self.names):
+            raise DatasetFormatError("label names must be strings")
         if len(set(self.names)) != len(self.names):
             raise DatasetFormatError("label names must be unique")
-        if not 0 <= self.blank_id < len(self.names):
-            raise DatasetFormatError(f"blank_id {self.blank_id} out of range")
+        if len(self.names) < 2 or self.names[-1] != BLANK_NAME:
+            raise DatasetFormatError(f"a label set is one or more labels, then {BLANK_NAME!r}")
 
     @classmethod
     def from_names(cls, names: Iterable[str]) -> "LabelSet":
         """Build a label set from dataset-supplied names, appending the blank."""
         names = tuple(names)
-        if not names:
-            raise DatasetFormatError("label set must contain at least one label")
         if BLANK_NAME in names:
             raise DatasetFormatError(
                 f"label name {BLANK_NAME!r} is reserved for the blank label"
             )
-        return cls(names=names + (BLANK_NAME,), blank_id=len(names))
+        return cls(names + (BLANK_NAME,))
 
     @property
     def num_labels(self) -> int:
@@ -64,9 +63,14 @@ class LabelSet:
         return len(self.names)
 
     @property
+    def blank_id(self) -> int:
+        """Index of the blank label: the last one."""
+        return len(self.names) - 1
+
+    @property
     def real_names(self) -> tuple[str, ...]:
         """Label names as they appear in data files (blank excluded)."""
-        return tuple(n for i, n in enumerate(self.names) if i != self.blank_id)
+        return self.names[:-1]
 
     def id_of(self, name: str) -> int:
         try:

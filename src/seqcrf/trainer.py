@@ -23,9 +23,9 @@ differentiates through the forward-backward recursions (fb_adjoint);
 softmax of its node scores and applies that per-frame Jacobian,
 ignoring the coupling through shared transitions and neighbouring
 frames.  The two coincide when the transition weights are zero (the
-chain then factorizes over frames) and generally differ otherwise;
-``local_vs_exact_divergence`` measures the gap.  Transition-weight
-gradients have no per-frame form, so local mode reuses the exact ones.
+chain then factorizes over frames) and generally differ otherwise.
+Transition-weight gradients have no per-frame form, so local mode
+reuses the exact ones.
 """
 from __future__ import annotations
 
@@ -63,6 +63,8 @@ logger = logging.getLogger(__name__)
 
 MODES = ("unsegmented", "frame_wise", "pretrain_finetune")
 GRAD_MODES = ("exact", "local")
+# TrainConfig's annotations, strings under the __future__ import; bool is never accepted
+_ACCEPTED_TYPES = {"str": str, "int": int, "float": (int, float), "int | None": (int, type(None))}
 
 
 class TrainingDivergedError(RuntimeError):
@@ -103,6 +105,10 @@ class TrainConfig:
     init_scale: float = 0.1
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _ACCEPTED_TYPES[f.type]):
+                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.grad_mode not in GRAD_MODES:
@@ -119,7 +125,7 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if not (self.l2 >= 0 and math.isfinite(self.l2)):
             raise ValueError("l2 must be finite and >= 0")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
         if self.window < 0:
             raise ValueError("window must be >= 0")
@@ -556,7 +562,7 @@ def evaluate(
 
 
 # ---------------------------------------------------------------------------
-# Gradient checking and the two-mode comparison
+# Gradient checking
 # ---------------------------------------------------------------------------
 
 
@@ -643,52 +649,3 @@ def gradient_check_suite(
         )
     return worst
 
-
-def local_vs_exact_divergence(
-    trials: int = 20,
-    seed: int = 0,
-    zero_transitions: bool = False,
-    transition_scale: float = 1.0,
-    label_prior: bool = False,
-) -> list[dict]:
-    """Measure how far the local gradient mode strays from the exact one.
-
-    Returns one row per trial comparing the state-weight gradient blocks:
-    {"trial", "frames", "hidden_states", "max_abs_diff", "max_rel_diff"}.
-    With zero transitions the two are analytically equal; with random
-    transitions in [-scale, scale] the gap is whatever it is — callers
-    report it rather than assert on it.
-    """
-    rng = np.random.default_rng(seed)
-    rows: list[dict] = []
-    for i in range(trials):
-        seq, params, hidden_map, feature_config, blank_id = _random_instance(rng)
-        if zero_transitions:
-            trans = np.zeros_like(params.trans_weights)
-        else:
-            trans = rng.uniform(-transition_scale, transition_scale,
-                                size=params.trans_weights.shape)
-        params = ModelParams(params.state_weights, trans)
-        _, g_exact = ctc_ldcrf_loss_and_grad(
-            [seq], params, hidden_map, feature_config, blank_id,
-            grad_mode="exact", label_prior=label_prior,
-        )
-        _, g_local = ctc_ldcrf_loss_and_grad(
-            [seq], params, hidden_map, feature_config, blank_id,
-            grad_mode="local", label_prior=label_prior,
-        )
-        n_state = hidden_map.num_states * feature_config.obs_dim
-        a = g_exact[:n_state]
-        b = g_local[:n_state]
-        diff = np.abs(a - b)
-        denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-        rows.append(
-            {
-                "trial": i,
-                "frames": seq.num_frames,
-                "hidden_states": hidden_map.num_states,
-                "max_abs_diff": float(diff.max()),
-                "max_rel_diff": float((diff / denom).max()),
-            }
-        )
-    return rows

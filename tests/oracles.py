@@ -1,6 +1,10 @@
 """Test oracles: exact answers by enumeration or by identities the fast
-code does not use."""
+code does not use, and the measured gap between the local and exact
+gradient modes."""
 import numpy as np
+
+from seqcrf.features import ModelParams
+from seqcrf.trainer import _random_instance, ctc_ldcrf_loss_and_grad
 
 BRUTE_FORCE_LIMIT = 10**6
 
@@ -43,3 +47,53 @@ def frame_posterior_check(tables):
     """Per-frame log-sum-exp of a CTC lattice's alpha+beta; equals
     log_prob at every frame."""
     return np.logaddexp.reduce(tables.log_alpha + tables.log_beta, axis=1)
+
+
+def local_vs_exact_divergence(
+    trials: int = 20,
+    seed: int = 0,
+    zero_transitions: bool = False,
+    transition_scale: float = 1.0,
+    label_prior: bool = False,
+) -> list[dict]:
+    """Measure how far the local gradient mode strays from the exact one.
+
+    Returns one row per trial comparing the state-weight gradient blocks:
+    {"trial", "frames", "hidden_states", "max_abs_diff", "max_rel_diff"}.
+    With zero transitions the two are analytically equal; with random
+    transitions in [-scale, scale] the gap is whatever it is — callers
+    report it rather than assert on it.
+    """
+    rng = np.random.default_rng(seed)
+    rows: list[dict] = []
+    for i in range(trials):
+        seq, params, hidden_map, feature_config, blank_id = _random_instance(rng)
+        if zero_transitions:
+            trans = np.zeros_like(params.trans_weights)
+        else:
+            trans = rng.uniform(-transition_scale, transition_scale,
+                                size=params.trans_weights.shape)
+        params = ModelParams(params.state_weights, trans)
+        _, g_exact = ctc_ldcrf_loss_and_grad(
+            [seq], params, hidden_map, feature_config, blank_id,
+            grad_mode="exact", label_prior=label_prior,
+        )
+        _, g_local = ctc_ldcrf_loss_and_grad(
+            [seq], params, hidden_map, feature_config, blank_id,
+            grad_mode="local", label_prior=label_prior,
+        )
+        n_state = hidden_map.num_states * feature_config.obs_dim
+        a = g_exact[:n_state]
+        b = g_local[:n_state]
+        diff = np.abs(a - b)
+        denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+        rows.append(
+            {
+                "trial": i,
+                "frames": seq.num_frames,
+                "hidden_states": hidden_map.num_states,
+                "max_abs_diff": float(diff.max()),
+                "max_rel_diff": float((diff / denom).max()),
+            }
+        )
+    return rows

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import record_criterion
-from oracles import brute_force_posteriors
+from oracles import brute_force_posteriors, local_vs_exact_divergence
 from seqcrf.chain import forward_backward, transition_counts
 from seqcrf.ctc import ctc_error_table, ctc_forward_backward
 from seqcrf.features import (
@@ -35,7 +35,6 @@ from seqcrf.trainer import (
     TrainConfig,
     evaluate,
     gradient_check_suite,
-    local_vs_exact_divergence,
     train,
 )
 

@@ -8,15 +8,16 @@ import seqcrf
 
 REMOVED = {
     "seqcrf": ["brute_force_posteriors", "ctc_log_prob", "decode_frames",
-               "frame_posterior_check", "node_scores_from_obs", "pretrain_finetune",
-               "restricted_log_partition", "sequence_label_likelihood", "windowed_obs"],
+               "frame_posterior_check", "local_vs_exact_divergence", "node_scores_from_obs",
+               "pretrain_finetune", "restricted_log_partition", "sequence_label_likelihood",
+               "windowed_obs"],
     "seqcrf.chain": ["BRUTE_FORCE_LIMIT", "brute_force_posteriors",
                      "restricted_log_partition"],
     "seqcrf.ctc": ["ctc_log_prob", "frame_posterior_check"],
     "seqcrf.features": ["node_scores_from_obs", "windowed_obs"],
     "seqcrf.ldcrf": ["decode_frames", "sequence_label_likelihood"],
     "seqcrf.trainer": ["_StageResult", "_finish", "_init_model", "_stage_rng",
-                       "pretrain_finetune"],
+                       "local_vs_exact_divergence", "pretrain_finetune"],
 }
 
 
@@ -43,6 +44,7 @@ def test_removed_methods_are_gone():
     assert not hasattr(seqcrf.ModelParams, "copy")
     assert "include_bias" not in seqcrf.FeatureConfig.__dataclass_fields__
     assert "edge_marginals" not in seqcrf.ChainPosteriors.__dataclass_fields__
+    assert "blank_id" not in seqcrf.LabelSet.__dataclass_fields__
 
 
 def test_import_loads_no_scipy():

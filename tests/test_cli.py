@@ -260,6 +260,21 @@ class TestTrain:
         assert code == EXIT_CONFIG
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", [
+        '"epochs": 1.5', '"batch_size": 2.5', '"hidden_per_label": 1.5', '"window": 0.5',
+        '"mode": "pretrain_finetune", "pretrain_epochs": 0.5', '"learning_rate": "0.1"',
+        '"momentum": null', '"epochs": true',
+    ])
+    def test_config_value_of_wrong_type_is_config_error(self, tiny_data, tmp_path, capsys,
+                                                        entry):
+        conf = tmp_path / "conf.json"
+        conf.write_text("{" + entry + "}")
+        code = run("train", "--data", str(tiny_data), "--out", str(tmp_path / "m.json"),
+                   "--config", str(conf))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "must be of type" in err and "Traceback" not in err
+
     def test_flags_override_config_file(self, tiny_data, tmp_path):
         conf = tmp_path / "conf.json"
         conf.write_text('{"epochs": 1, "seed": 4, "hidden_per_label": 3}')
@@ -359,6 +374,28 @@ class TestEvalAndDecode:
         err = capsys.readouterr().err
         assert "do not sum to one" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("change", [
+        {"blank_id": 0},
+        {"blank_id": 3.7},
+        {"labels": ["<blank>", "A", "B", "C"], "blank_id": 0},
+        {"labels": ["A", "B", "C", "D"]},
+        {"labels": [1, 2, 3, "<blank>"]},
+        {"input_dim": 2.9},
+        {"window": 1.0},
+        {"theta": lambda theta: [str(w) for w in theta]},
+    ], ids=["blank-id-0", "blank-id-3.7", "blank-first", "no-blank", "int-labels",
+            "input-dim-2.9", "window-1.0", "string-theta"])
+    def test_checkpoint_off_its_written_form_is_io_error(self, tiny_data, trained, capsys,
+                                                         change):
+        payload = json.loads(trained.read_text())
+        for key, value in change.items():
+            payload[key] = value(payload[key]) if callable(value) else value
+        trained.write_text(json.dumps(payload))
+        for command in ("eval", "decode"):
+            assert run(command, "--data", str(tiny_data), "--model", str(trained)) == EXIT_IO
+            err = capsys.readouterr().err
+            assert "is malformed" in err and "Traceback" not in err
+
     def test_truncated_checkpoint_is_io_error(self, tiny_data, trained):
         trained.write_text(trained.read_text()[:40])
         code = run("decode", "--data", str(tiny_data), "--model", str(trained))
@@ -427,6 +464,18 @@ class TestGradcheck:
                    "--threshold", "1e-18")
         assert code == EXIT_GRADCHECK
         assert "exceeds threshold" in capsys.readouterr().err
+
+    def test_checks_the_prior_gradient_that_training_follows(self, monkeypatch, capsys):
+        seen = []
+
+        def spy(**kwargs):
+            seen.append(kwargs.get("label_prior"))
+            return {False: 1e-9, True: 3e-9}[kwargs.get("label_prior")]
+
+        monkeypatch.setattr(cli_mod, "gradient_check_suite", spy)
+        assert run("gradcheck", "--trials", "2") == EXIT_OK
+        assert seen == [False, True]
+        assert "max relative error: 3e-09" in capsys.readouterr().out
 
     def test_grad_mode_flag_is_gone(self):
         # the local mode only approximates the gradient, so checking it

@@ -45,6 +45,12 @@ class TestLabelSet:
         assert ls.num_labels == 4
         assert ls.real_names == ("a", "b", "c")
 
+    @pytest.mark.parametrize("names", [("a", "b"), (BLANK_NAME, "a"), (BLANK_NAME,),
+                                       (1, BLANK_NAME), ("a", "a", BLANK_NAME)])
+    def test_names_must_be_unique_strings_ending_in_blank(self, names):
+        with pytest.raises(DatasetFormatError):
+            LabelSet(names)
+
     def test_name_id_round_trip(self):
         ls = LabelSet.from_names(["x", "y"])
         for i, name in enumerate(ls.names):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import seqcrf.trainer as trainer_mod
+from oracles import local_vs_exact_divergence
 from seqcrf.ctc import ctc_forward_backward
 from seqcrf.features import (
     Checkpoint,
@@ -32,7 +33,6 @@ from seqcrf.trainer import (
     evaluate,
     gradient_check,
     gradient_check_suite,
-    local_vs_exact_divergence,
     train,
 )
 
@@ -275,11 +275,23 @@ class TestTrainConfig:
             dict(init_scale=math.inf),
             dict(init_scale=1e308),  # uniform's range 2 * init_scale overflows
             dict(mode="frame_wise", grad_mode="local"),  # frame_wise has no local mode
+            dict(epochs=1.5),
+            dict(batch_size=2.5),
+            dict(hidden_per_label=1.5),
+            dict(window=0.5),
+            dict(mode="pretrain_finetune", pretrain_epochs=0.5),
+            dict(learning_rate="0.1"),
+            dict(momentum=None),
+            dict(epochs=True),  # a bool is an int to Python, not to the config
         ],
     )
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
             TrainConfig(**kw)
+
+    def test_float_fields_take_ints_and_numpy_floats(self):
+        config = TrainConfig(learning_rate=1, momentum=np.float64(0.5))
+        assert config.learning_rate == 1 and config.momentum == 0.5
 
     def test_round_trip_and_unknown_keys(self):
         config = TrainConfig(learning_rate=0.5, epochs=3)
