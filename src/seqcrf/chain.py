@@ -5,21 +5,32 @@ exp(sum_j score[j, h_j] + sum_j trans[h_j, h_{j+1}]), with one shared
 transition matrix across all adjacent pairs.  Every recursion (forward
 and backward messages, Viterbi's max, both sweeps of the adjoint, and
 the CTC lattice in ctc.py) is one call to ``scan``; a backward one scans
-the reversed inputs.  Messages run in the log domain with a plain-numpy
-max-shifted log-sum-exp, so score magnitudes up to a few hundred cause
-no overflow, and they are returned with the posteriors so that
-``transition_counts`` and ``fb_adjoint`` reuse them instead of
-recomputing them.  The message passes build no per-frame (T-1, H, H)
-edge table; ``transition_counts`` forms one and sums it on the spot.
+the reversed inputs.  ``forward_backward_batch`` runs the chain passes of
+a whole dataset or batch: it stacks their score tables, at most
+``_PASS_CELLS`` cells a pass, and scans each stack once per direction, so
+a frame pays numpy dispatch once per pass instead of once per sequence.
+Each table's posteriors are bit for bit those of its own one-table pass,
+which is all ``forward_backward`` and ``masked_forward_backward`` run.
+Messages run in the log domain with a plain-numpy max-shifted
+log-sum-exp, so score magnitudes up to a few hundred cause no overflow,
+and they are returned with the posteriors so that ``transition_counts``
+and ``fb_adjoint`` reuse them instead of recomputing them.  The message
+passes build no per-frame (T-1, H, H) edge table; ``transition_counts``
+forms one and sums it on the spot.
 
 Conventions: trans[a, b] scores a transition from state a at position j
 to state b at position j+1.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
+
+
+_PASS_CELLS = 1 << 15  # B * T_max * H cells one stacked pass holds at most
 
 
 @dataclass
@@ -63,29 +74,79 @@ def scan(first, inputs: np.ndarray, step) -> np.ndarray:
     return out
 
 
-def _posteriors(scores: np.ndarray, trans: np.ndarray) -> ChainPosteriors:
-    """Forward/backward log messages and the marginals they give.
+def _pass(tables: list[np.ndarray], trans: np.ndarray) -> Iterator[ChainPosteriors]:
+    """One stacked pass over ``tables``, whose posteriors view its messages.
 
-    Tolerates -inf entries in scores as long as every frame keeps a
-    finite one, so every max below is finite.  The forward scan starts
-    at -0.0 because x + -0.0 is x bit for bit.  FloatingPointError unless
-    every marginal row sums to 1 within 1e-6; NaN fails that too.
+    -inf scores are tolerated while every frame keeps a finite one, so
+    every max is finite.  The forward scan starts at -0.0 because x + -0.0
+    is x bit for bit.  NaN marginals fail the row-sum check too.
     """
-    log_alpha = scores + scan(-0.0, scores, lambda _, v: _logsumexp(v[:, None] + trans, axis=0))
-    log_beta = scan(0.0, scores[::-1], lambda _, v: _logsumexp(trans + v[None, :], axis=1))[::-1]
-    log_z = float(_logsumexp(log_alpha[-1]))
-    node = np.exp(log_alpha + log_beta - log_z)
-    if not np.all(np.abs(node.sum(axis=1) - 1.0) <= 1e-6):
-        raise FloatingPointError("chain marginals do not sum to one; scores overflow float64")
-    return ChainPosteriors(log_z, node, scores, log_alpha, log_beta)
+    lengths = [len(scores) for scores in tables]
+    stack = np.zeros((max(lengths), len(tables), trans.shape[0]))
+    # one table scans as its (T, H) view: 2-D steps cost less to dispatch
+    inputs = stack[:, 0] if len(tables) == 1 else stack
+    for b, scores in enumerate(tables):
+        stack[:len(scores), b] = scores
+    log_alpha = scan(-0.0, inputs, lambda _, v: _logsumexp(v[..., :, None] + trans, axis=-2))
+    log_alpha += inputs
+    for b, scores in enumerate(tables):
+        stack[:len(scores), b] = scores[::-1]
+    log_beta = scan(0.0, inputs, lambda _, v: _logsumexp(trans + v[..., None, :], axis=-1))
+    log_alpha, log_beta = log_alpha.reshape(stack.shape), log_beta.reshape(stack.shape)
+    for b, (scores, t) in enumerate(zip(tables, lengths)):
+        alpha, beta = log_alpha[:t, b], log_beta[t - 1::-1, b]
+        log_z = float(_logsumexp(alpha[-1]))
+        node = np.exp(alpha + beta - log_z)
+        if not np.all(np.abs(node.sum(axis=1) - 1.0) <= 1e-6):
+            raise FloatingPointError("chain marginals do not sum to one; scores overflow float64")
+        yield ChainPosteriors(log_z, node, scores, alpha, beta)
+
+
+def forward_backward_batch(
+    node_scores: Iterable[np.ndarray],
+    trans_weights: np.ndarray,
+    allowed: Iterable[np.ndarray] | None = None,
+) -> Iterator[ChainPosteriors]:
+    """Posteriors of each (T_i, H) score table in turn, each bit for bit
+    what a pass over that table alone gives.
+
+    ``allowed`` optionally gives each table a (T_i, H) mask: disallowed
+    states get zero marginal mass exactly, and log_z is the log partition
+    of the restricted chain.  The tables of a pass are stacked time-major,
+    zero-padded past their ends; the backward stack holds each table's
+    frames reversed, so every row starts both scans at stack frame 0 and
+    no padded frame reaches a live one.  A pass holds at most _PASS_CELLS
+    cells of B * T_max * H (a longer table is a pass of its own), and its
+    buffers live until the last of its posteriors is dropped.
+    FloatingPointError unless every marginal row sums to 1 within 1e-6.
+    """
+    trans = _finite("trans_weights", trans_weights)
+    group: list[np.ndarray] = []
+    t_max = 0
+    masks = itertools.repeat(None) if allowed is None else allowed
+    for scores, mask in zip(node_scores, masks, strict=allowed is not None):
+        scores = _finite("node_scores", scores)
+        if mask is not None:
+            mask = np.asarray(mask, dtype=bool)
+            if mask.shape != scores.shape:
+                raise ValueError("allowed mask must match node_scores shape")
+            if not np.all(mask.any(axis=1)):
+                raise ValueError("every frame needs at least one allowed state")
+            scores = np.where(mask, scores, -np.inf)
+        t, h = scores.shape
+        if group and (len(group) + 1) * max(t_max, t) * h > _PASS_CELLS:
+            yield from _pass(group, trans)
+            group, t_max = [], 0
+        group.append(scores)
+        t_max = max(t_max, t)
+    if group:
+        yield from _pass(group, trans)
 
 
 def forward_backward(node_scores: np.ndarray, trans_weights: np.ndarray) -> ChainPosteriors:
     """Exact log partition function plus node marginals; FloatingPointError
     when scores too large for float64 keep the marginals from summing to one."""
-    node_scores = _finite("node_scores", node_scores)
-    trans_weights = _finite("trans_weights", trans_weights)
-    return _posteriors(node_scores, trans_weights)
+    return next(forward_backward_batch([node_scores], trans_weights))
 
 
 def masked_forward_backward(
@@ -96,14 +157,7 @@ def masked_forward_backward(
     Disallowed states receive zero marginal mass exactly; log_z is the
     log partition of the restricted chain.
     """
-    node_scores = _finite("node_scores", node_scores)
-    trans_weights = _finite("trans_weights", trans_weights)
-    allowed = np.asarray(allowed, dtype=bool)
-    if allowed.shape != node_scores.shape:
-        raise ValueError("allowed mask must match node_scores shape")
-    if not np.all(allowed.any(axis=1)):
-        raise ValueError("every frame needs at least one allowed state")
-    return _posteriors(np.where(allowed, node_scores, -np.inf), trans_weights)
+    return next(forward_backward_batch([node_scores], trans_weights, [allowed]))
 
 
 def transition_counts(posteriors: ChainPosteriors, trans_weights: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ import numpy as np
 from .chain import (
     ChainPosteriors,
     forward_backward,
-    masked_forward_backward,
+    forward_backward_batch,
     transition_counts,
     viterbi,
 )
@@ -69,15 +69,15 @@ def ldcrf_frame_objective(
     for seq in batch:
         if seq.frame_labels is None:
             raise ValueError(f"sequence {seq.id!r} has no frame_labels")
-        obs = observation_matrix(seq, config)
-        scores = obs @ params.state_weights.T
-        free = forward_backward(scores, params.trans_weights)
-        restricted = masked_forward_backward(
-            scores, params.trans_weights, _allowed_mask(seq.frame_labels, hidden_map)
-        )
+    obs = [observation_matrix(seq, config) for seq in batch]
+    scores = [o @ params.state_weights.T for o in obs]
+    masks = [_allowed_mask(seq.frame_labels, hidden_map) for seq in batch]
+    frees = forward_backward_batch(scores, params.trans_weights)
+    restricteds = forward_backward_batch(scores, params.trans_weights, masks)
+    for o, free, restricted in zip(obs, frees, restricteds):
         loss += free.log_z - restricted.log_z
         diff = free.node_marginals - restricted.node_marginals  # (T, H)
-        grad_state += diff.T @ obs
+        grad_state += diff.T @ o
         grad_trans += (transition_counts(free, params.trans_weights)
                        - transition_counts(restricted, params.trans_weights))
     theta = params.flatten()

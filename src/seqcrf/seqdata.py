@@ -244,7 +244,7 @@ def _parse_header(obj: dict, path: str) -> tuple[LabelSet, int, dict[str, str]]:
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise DatasetFormatError(f"{path}: line 1: 'labels' must be an array of strings")
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise DatasetFormatError(f"{path}: line 1: 'dim' must be a positive integer")
     meta = obj.get("meta", {})
     if not isinstance(meta, dict):
@@ -286,6 +286,8 @@ def _parse_sequence(
     where = f"{path}: line {lineno}"
     if "id" not in obj or "frames" not in obj:
         raise DatasetFormatError(f"{where}: sequence must carry 'id' and 'frames'")
+    if not isinstance(obj["id"], str):
+        raise DatasetFormatError(f"{where}: 'id' must be a string")
     try:
         frames = np.asarray(obj["frames"], dtype=np.float64)
     except (TypeError, ValueError) as exc:
@@ -303,14 +305,16 @@ def _parse_sequence(
         names = obj.get(key)
         if names is None:
             return None
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise DatasetFormatError(f"{where}: '{key}' must be an array of label names")
         try:
-            return [label_set.id_of(str(n)) for n in names]
+            return [label_set.id_of(n) for n in names]
         except DatasetFormatError as exc:
             raise DatasetFormatError(f"{where}: {exc}") from None
 
     try:
         seq = Sequence(
-            id=str(obj["id"]),
+            id=obj["id"],
             frames=frames,
             frame_labels=to_ids("frame_labels"),
             label_seq=to_ids("label_seq"),

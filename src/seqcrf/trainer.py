@@ -38,7 +38,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .chain import fb_adjoint, forward_backward
+from .chain import fb_adjoint, forward_backward_batch
 from .ctc import (
     Q_FLOOR,
     CtcInfeasibleError,
@@ -46,7 +46,14 @@ from .ctc import (
     ctc_forward_backward,
     min_frames_required,
 )
-from .features import Checkpoint, FeatureConfig, HiddenStateMap, ModelParams, observation_matrix
+from .features import (
+    Checkpoint,
+    FeatureConfig,
+    HiddenStateMap,
+    ModelParams,
+    node_scores,
+    observation_matrix,
+)
 from .ldcrf import frame_label_marginals, label_marginals, ldcrf_frame_objective
 from .seqdata import (
     Dataset,
@@ -222,15 +229,14 @@ def ctc_ldcrf_loss_and_grad(
     grad_state = np.zeros_like(params.state_weights)
     grad_trans = np.zeros_like(params.trans_weights)
     owner = hidden_map.state_owner()
-    forward = []
     for seq in batch:
         if seq.label_seq is None:
             raise ValueError(f"sequence {seq.id!r} has no label_seq")
-        obs = observation_matrix(seq, feature_config)
-        scores = obs @ params.state_weights.T
-        post = forward_backward(scores, params.trans_weights)
-        q = frame_label_marginals(post, hidden_map)
-        forward.append((seq, obs, scores, post, q))
+    obs = [observation_matrix(seq, feature_config) for seq in batch]
+    scores = [o @ params.state_weights.T for o in obs]
+    posts = forward_backward_batch(scores, params.trans_weights)
+    forward = [(seq, o, s, post, frame_label_marginals(post, hidden_map))
+               for seq, o, s, post in zip(batch, obs, scores, posts)]
     # per-label factor on q; also scales the error table, since the prior
     # is a constant for the gradient
     if label_prior:
@@ -491,11 +497,14 @@ def dataset_label_marginals(
     """
     if dataset.label_set.names != checkpoint.label_set.names:
         raise ValueError("dataset and checkpoint use different label sets")
-    return (
-        (seq, label_marginals(seq, checkpoint.params, checkpoint.hidden_map,
-                              checkpoint.feature_config))
-        for seq in dataset.sequences
-    )
+    params = checkpoint.params
+    posts = forward_backward_batch(
+        (node_scores(seq, params, checkpoint.feature_config) for seq in dataset.sequences),
+        params.trans_weights)
+    # map, unlike a generator expression, keeps no posterior (and so no
+    # pass buffer) alive while the next pass runs
+    return zip(dataset.sequences,
+               map(lambda post: frame_label_marginals(post, checkpoint.hidden_map), posts))
 
 
 def evaluate(

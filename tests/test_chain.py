@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+import seqcrf.chain as chain_mod
 from oracles import brute_force_posteriors, lse
 from seqcrf.chain import (
     fb_adjoint,
     forward_backward,
+    forward_backward_batch,
     masked_forward_backward,
     transition_counts,
     viterbi,
@@ -163,6 +165,61 @@ class TestMaskedForwardBackward:
         trans[0, 1] = np.nan
         with pytest.raises(ValueError):
             masked_forward_backward(np.zeros((3, 2)), trans, np.ones((3, 2), bool))
+
+
+def random_tables(rng, h, count, masked):
+    """``count`` random (T, h) score tables, T in 1..120, and a mask for each
+    that keeps at least one state per frame (None unless ``masked``)."""
+    tables = [rng.normal(size=(int(rng.integers(1, 121)), h)) * 3.0 for _ in range(count)]
+    if not masked:
+        return tables, None
+    masks = []
+    for scores in tables:
+        mask = rng.random(scores.shape) < 0.5
+        mask[np.arange(len(scores)), rng.integers(0, h, size=len(scores))] = True
+        masks.append(mask)
+    return tables, masks
+
+
+class TestBatch:
+    @pytest.mark.parametrize("masked", [False, True], ids=["free", "masked"])
+    @pytest.mark.parametrize("cells", [1, 64, None], ids=["cap1", "cap64", "default"])
+    def test_equals_one_table_calls_bit_for_bit(self, monkeypatch, cells, masked):
+        # a one-table call is a pass of its own at any cap
+        if cells is not None:
+            monkeypatch.setattr(chain_mod, "_PASS_CELLS", cells)
+        rng = np.random.default_rng(31)
+        for h in (1, 5, 14):
+            tables, masks = random_tables(rng, h, 12, masked)
+            trans = rng.normal(size=(h, h))
+            if masked:
+                ones = [masked_forward_backward(s, trans, m) for s, m in zip(tables, masks)]
+            else:
+                ones = [forward_backward(s, trans) for s in tables]
+            batch = list(forward_backward_batch(tables, trans, masks))
+            assert len(batch) == len(tables)
+            for got, one in zip(batch, ones):
+                assert got.log_z == one.log_z
+                for field in ("node_marginals", "node_scores", "log_alpha", "log_beta"):
+                    assert np.array_equal(getattr(got, field), getattr(one, field)), field
+
+    @pytest.mark.parametrize("row", [0, 3, 6])
+    @pytest.mark.parametrize("fault, message", [
+        ("nan-scores", "node_scores must be finite"),
+        ("mask-shape", "allowed mask must match node_scores shape"),
+        ("empty-frame", "every frame needs at least one allowed state"),
+    ])
+    def test_any_row_raises_the_one_table_error(self, row, fault, message):
+        rng = np.random.default_rng(32)
+        tables, masks = random_tables(rng, 4, 7, masked=True)
+        if fault == "nan-scores":
+            tables[row][-1, 0] = np.nan
+        elif fault == "mask-shape":
+            masks[row] = masks[row][:, :-1]
+        else:
+            masks[row][len(masks[row]) // 2] = False
+        with pytest.raises(ValueError, match=message):
+            list(forward_backward_batch(tables, np.zeros((4, 4)), masks))
 
 
 class TestLongChains:

@@ -275,6 +275,30 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "must be of type" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("header, change, message", [
+        ({"dim": True}, {}, "'dim' must be a positive integer"),
+        ({}, {"id": 5}, "'id' must be a string"),
+        ({}, {"id": None}, "'id' must be a string"),
+        ({}, {"label_seq": "AB"}, "'label_seq' must be an array of label names"),
+        ({}, {"frame_labels": "AABB"}, "'frame_labels' must be an array of label names"),
+        ({"labels": ["1", "2"]}, {"frame_labels": [1, 1, 2, 2], "label_seq": [1, 2]},
+         "'frame_labels' must be an array of label names"),
+    ], ids=["dim-true", "id-5", "id-null", "label-seq-string", "frame-labels-string",
+            "numeric-labels"])
+    def test_data_field_of_wrong_type_is_io_error(self, tmp_path, capsys, header, change,
+                                                  message):
+        head = {"labels": ["A", "B"], "dim": 1, **header}
+        names = head["labels"]
+        seq = {"id": "s0", "frames": [[0.0], [1.0], [0.5], [0.2]],
+               "frame_labels": [names[0]] * 2 + [names[1]] * 2, "label_seq": names, **change}
+        data = tmp_path / "data.jsonl"
+        data.write_text(json.dumps(head) + "\n" + json.dumps(seq) + "\n")
+        code = run("train", "--data", str(data), "--out", str(tmp_path / "m.json"),
+                   "--mode", "frame_wise", "--epochs", "1")
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
     def test_flags_override_config_file(self, tiny_data, tmp_path):
         conf = tmp_path / "conf.json"
         conf.write_text('{"epochs": 1, "seed": 4, "hidden_per_label": 3}')
@@ -373,6 +397,18 @@ class TestEvalAndDecode:
         assert code == EXIT_IO
         err = capsys.readouterr().err
         assert "do not sum to one" in err and "Traceback" not in err
+
+    def test_only_the_last_sequence_overflowing_is_io_error(self, tiny_data, trained,
+                                                            capsys):
+        # the earlier sequences score and stream out before the last one fails
+        header, *rows = tiny_data.read_text().splitlines()
+        last = json.loads(rows[-1])
+        last["frames"] = [[x * 1e12 for x in frame] for frame in last["frames"]]
+        tiny_data.write_text("\n".join([header, *rows[:-1], json.dumps(last)]) + "\n")
+        for command in ("eval", "decode"):
+            assert run(command, "--data", str(tiny_data), "--model", str(trained)) == EXIT_IO
+            err = capsys.readouterr().err
+            assert "do not sum to one" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("change", [
         {"blank_id": 0},
