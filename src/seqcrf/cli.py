@@ -107,7 +107,6 @@ def _build_train_config(args: argparse.Namespace) -> TrainConfig:
             file_conf = json.load(fh)
         if not isinstance(file_conf, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
-        TrainConfig.from_dict(file_conf)  # reject unknown keys early
         merged.update(file_conf)
     for key in (f.name for f in dataclasses.fields(TrainConfig)):
         value = getattr(args, key, None)

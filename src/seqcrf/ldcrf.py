@@ -41,12 +41,6 @@ def label_marginals(
     return frame_label_marginals(posteriors, hidden_map)
 
 
-def _allowed_mask(frame_labels: list[int], hidden_map: HiddenStateMap) -> np.ndarray:
-    owner = hidden_map.state_owner()  # (H,)
-    labels = np.asarray(frame_labels, dtype=np.int64)
-    return owner[None, :] == labels[:, None]  # (T, H)
-
-
 def ldcrf_frame_objective(
     batch: list[Sequence],
     params: ModelParams,
@@ -61,7 +55,9 @@ def ldcrf_frame_objective(
     sequence and l2 = 0 the loss is exactly -log P(frame labeling | x).
     The gradient is the classic difference of feature expectations under
     the free chain and the label-restricted chain, plus 2*l2*theta,
-    returned flat in the ModelParams layout.
+    returned flat in the ModelParams layout.  Both chains of every
+    sequence go through one forward_backward_batch call, each sequence's
+    free table right before its restricted one.
     """
     grad_state = np.zeros_like(params.state_weights)
     grad_trans = np.zeros_like(params.trans_weights)
@@ -70,11 +66,14 @@ def ldcrf_frame_objective(
         if seq.frame_labels is None:
             raise ValueError(f"sequence {seq.id!r} has no frame_labels")
     obs = [observation_matrix(seq, config) for seq in batch]
-    scores = [o @ params.state_weights.T for o in obs]
-    masks = [_allowed_mask(seq.frame_labels, hidden_map) for seq in batch]
-    frees = forward_backward_batch(scores, params.trans_weights)
-    restricteds = forward_backward_batch(scores, params.trans_weights, masks)
-    for o, free, restricted in zip(obs, frees, restricteds):
+    owner = hidden_map.state_owner()
+    tables, masks = [], []
+    for seq, o in zip(batch, obs):
+        scores = o @ params.state_weights.T
+        tables += [scores, scores]
+        masks += [None, owner == np.asarray(seq.frame_labels)[:, None]]  # (T, H)
+    posts = iter(forward_backward_batch(tables, params.trans_weights, masks))
+    for o, free, restricted in zip(obs, posts, posts):
         loss += free.log_z - restricted.log_z
         diff = free.node_marginals - restricted.node_marginals  # (T, H)
         grad_state += diff.T @ o
@@ -82,8 +81,7 @@ def ldcrf_frame_objective(
                        - transition_counts(restricted, params.trans_weights))
     theta = params.flatten()
     loss += l2 * float(theta @ theta)
-    grad = np.concatenate([grad_state.ravel(), grad_trans.ravel()]) + 2.0 * l2 * theta
-    return loss, grad
+    return loss, ModelParams(grad_state, grad_trans).flatten() + 2.0 * l2 * theta
 
 
 def decode_frames_viterbi(

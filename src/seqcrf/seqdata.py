@@ -288,12 +288,15 @@ def _parse_sequence(
         raise DatasetFormatError(f"{where}: sequence must carry 'id' and 'frames'")
     if not isinstance(obj["id"], str):
         raise DatasetFormatError(f"{where}: 'id' must be a string")
+    rows = obj["frames"]
+    # exact JSON types: numpy alone would read booleans and numeric strings as numbers
+    if not (type(rows) is list and rows and all(type(row) is list for row in rows)
+            and {type(v) for row in rows for v in row} <= {int, float}):
+        raise DatasetFormatError(f"{where}: frames must be a nonempty array of rows of numbers")
     try:
-        frames = np.asarray(obj["frames"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+        frames = np.asarray(rows, dtype=np.float64)
+    except (ValueError, OverflowError) as exc:  # ragged rows, an int beyond float64
         raise DatasetFormatError(f"{where}: bad frames: {exc}") from None
-    if frames.ndim != 2:
-        raise DatasetFormatError(f"{where}: frames must be an array of equal-length rows")
     if frames.shape[1] != dim:
         raise DatasetFormatError(
             f"{where}: frame dimension {frames.shape[1]} != declared dim {dim}"
@@ -482,34 +485,34 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> Dataset:
     return Dataset(label_set=label_set, sequences=sequences, meta=meta)
 
 
-def segment_boundaries(dataset: Dataset, seq_id: str) -> list[tuple[int, int, int]]:
-    """(start, end, label_id) segments recorded in meta for one sequence.
+def segment_boundaries(dataset: Dataset, seq: Sequence) -> list[tuple[int, int, int]]:
+    """(start, end, label_id) segments recorded in meta for ``seq``, one of
+    the dataset's sequences.
 
     Raises DatasetFormatError unless the entry is a JSON list of
     [start, end, label] triples with 0 <= start < end <= the sequence's
     frame count and a real (non-blank) label name.
     """
-    key = SEGMENTS_META_PREFIX + seq_id
+    key = SEGMENTS_META_PREFIX + seq.id
     if key not in dataset.meta:
-        raise DatasetFormatError(f"dataset meta carries no segment boundaries for {seq_id!r}")
-    where = f"segment boundaries of sequence {seq_id!r}"
+        raise DatasetFormatError(f"dataset meta carries no segment boundaries for {seq.id!r}")
+    where = f"segment boundaries of sequence {seq.id!r}"
     try:
         entries = json.loads(dataset.meta[key])
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(f"{where}: bad JSON: {exc}") from None
     if not isinstance(entries, list):
         raise DatasetFormatError(f"{where} must be a list of [start, end, label] triples")
-    num_frames = next(s.num_frames for s in dataset.sequences if s.id == seq_id)
     real = dataset.label_set.real_names
     out = []
     for entry in entries:
         if not (isinstance(entry, list) and len(entry) == 3
-                and isinstance(entry[0], int) and isinstance(entry[1], int)):
+                and type(entry[0]) is int and type(entry[1]) is int):
             raise DatasetFormatError(f"{where}: {entry!r} is not a [start, end, label] triple")
         start, end, name = entry
-        if not 0 <= start < end <= num_frames:
+        if not 0 <= start < end <= seq.num_frames:
             raise DatasetFormatError(
-                f"{where}: [{start}, {end}) does not fit 0 <= start < end <= {num_frames}"
+                f"{where}: [{start}, {end}) does not fit 0 <= start < end <= {seq.num_frames}"
             )
         if name not in real:
             raise DatasetFormatError(f"{where}: {name!r} is not a real label name")
@@ -526,7 +529,7 @@ def extract_segment_subsequences(dataset: Dataset) -> Dataset:
     """
     pieces: list[Sequence] = []
     for seq in dataset.sequences:
-        for k, (start, end, label) in enumerate(segment_boundaries(dataset, seq.id)):
+        for k, (start, end, label) in enumerate(segment_boundaries(dataset, seq)):
             pieces.append(
                 Sequence(
                     id=f"{seq.id}#{k}",

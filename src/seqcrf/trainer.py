@@ -4,7 +4,9 @@ Three configurations are supported: frame-supervised training of the
 latent chain, training from unsegmented label sequences through the
 alignment-marginalizing (CTC) loss, and a two-stage protocol that
 pretrains frame-wise on single-class subsequences before fine-tuning on
-full unsegmented sequences.
+full unsegmented sequences.  ``train`` turns each stage's objective
+into a function of a batch and the flat weight vector; the optimizer,
+``_run_sgd``, sees only those functions and knows nothing of the model.
 
 Unsegmented training (``unsegmented`` and the fine-tuning stage of
 ``pretrain_finetune``) divides each frame's label marginals q by the
@@ -34,7 +36,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -270,8 +272,7 @@ def ctc_ldcrf_loss_and_grad(
         raise EmptyBatchError("every sequence in the batch was skipped; loss undefined")
     theta = params.flatten()
     loss += l2 * float(theta @ theta)
-    grad = np.concatenate([grad_state.ravel(), grad_trans.ravel()]) + 2.0 * l2 * theta
-    return loss, grad
+    return loss, ModelParams(grad_state, grad_trans).flatten() + 2.0 * l2 * theta
 
 
 def _batch_label_prior(qs: list[np.ndarray]) -> np.ndarray:
@@ -310,17 +311,14 @@ def _composite_loss(
 def _run_sgd(
     sequences: list[Sequence],
     theta: np.ndarray,
-    hidden_map: HiddenStateMap,
-    feature_config: FeatureConfig,
-    blank_id: int,
+    objective: Callable[[list[Sequence], np.ndarray], tuple[float, np.ndarray]],
     config: TrainConfig,
     epochs: int,
-    objective: str,
     shuffle_rng: np.random.Generator,
     losses: list[float],
     norms: list[float],
 ) -> tuple[np.ndarray, str | None]:
-    """Mini-batch gradient descent with momentum for one stage.
+    """One stage of mini-batch momentum SGD on ``objective(batch, theta) -> (loss, grad)``.
 
     Returns (theta, cause), where cause is None unless the stage stopped
     early, and appends each finished epoch's summed loss and mean gradient
@@ -333,10 +331,10 @@ def _run_sgd(
     epochs keep the full rate.  Batch
     accumulation order follows the shuffled order, which is deterministic
     for a fixed generator state.  An epoch whose every batch is skipped
-    trained nothing, so it ends the stage as diverged, and so do marginals
-    off unit mass and a loss or an update that is not finite; ``cause``
-    then names which, and the returned ``theta`` is the last finite one.
-    Each finished epoch logs one INFO line.
+    (EmptyBatchError) trained nothing, so it ends the stage as diverged,
+    and so do a FloatingPointError and a loss or an update that is not
+    finite; ``cause`` then names which, and the returned ``theta`` is the
+    last finite one.  Each finished epoch logs one INFO line.
     """
     n = len(sequences)
     velocity = np.zeros_like(theta)
@@ -348,17 +346,8 @@ def _run_sgd(
         skipped = 0
         for start in range(0, n, config.batch_size):
             batch = [sequences[int(i)] for i in order[start:start + config.batch_size]]
-            params = ModelParams.unflatten(theta, hidden_map.num_states, feature_config.obs_dim)
             try:
-                if objective == "frame":
-                    loss, grad = ldcrf_frame_objective(
-                        batch, params, hidden_map, feature_config, l2=config.l2
-                    )
-                else:
-                    loss, grad = ctc_ldcrf_loss_and_grad(
-                        batch, params, hidden_map, feature_config, blank_id,
-                        grad_mode=config.grad_mode, l2=config.l2, label_prior=True,
-                    )
+                loss, grad = objective(batch, theta)
             except EmptyBatchError:
                 logger.warning("batch starting at %d skipped entirely", start)
                 skipped += 1
@@ -383,7 +372,7 @@ def _run_sgd(
         logger.info(
             "epoch %d/%d (%s): loss %.6g, mean grad norm %.4g, step size %.4g, "
             "skipped batches %d",
-            epoch + 1, epochs, objective, losses[-1], norms[-1], lr, skipped,
+            epoch + 1, epochs, objective.__name__, losses[-1], norms[-1], lr, skipped,
         )
     return theta, None
 
@@ -407,22 +396,33 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Checkpoint, TrainRepor
     stop summing to one, or an epoch skips every batch; a diverged stage
     ends the run, and the error's message names the cause.
     """
+    hidden_map = HiddenStateMap(dataset.label_set.num_labels, config.hidden_per_label)
+    feature_config = FeatureConfig(input_dim=dataset.dim, window=config.window)
+
+    def frame(batch: list[Sequence], theta: np.ndarray) -> tuple[float, np.ndarray]:
+        params = ModelParams.unflatten(theta, hidden_map.num_states, feature_config.obs_dim)
+        return ldcrf_frame_objective(batch, params, hidden_map, feature_config, l2=config.l2)
+
+    def ctc(batch: list[Sequence], theta: np.ndarray) -> tuple[float, np.ndarray]:
+        params = ModelParams.unflatten(theta, hidden_map.num_states, feature_config.obs_dim)
+        return ctc_ldcrf_loss_and_grad(
+            batch, params, hidden_map, feature_config, dataset.label_set.blank_id,
+            grad_mode=config.grad_mode, l2=config.l2, label_prior=True,
+        )
+
     pretrain_epochs = None
     if config.mode == "pretrain_finetune":
         pieces = extract_segment_subsequences(dataset).sequences
         pretrain_epochs, finetune_epochs = config.stage_epochs()
-        stages = [(pieces, pretrain_epochs, "frame"),
-                  (dataset.sequences, finetune_epochs, "ctc")]
+        stages = [(pieces, pretrain_epochs, frame), (dataset.sequences, finetune_epochs, ctc)]
     else:
-        objective = "frame" if config.mode == "frame_wise" else "ctc"
+        objective = frame if config.mode == "frame_wise" else ctc
         stages = [(dataset.sequences, config.epochs, objective)]
     required = "frame_labels" if config.mode == "frame_wise" else "label_seq"
     for seq in dataset.sequences:
         if getattr(seq, required) is None:
             raise ValueError(f"sequence {seq.id!r} has no {required}, required by this mode")
 
-    hidden_map = HiddenStateMap(dataset.label_set.num_labels, config.hidden_per_label)
-    feature_config = FeatureConfig(input_dim=dataset.dim, window=config.window)
     theta = ModelParams.random_init(
         hidden_map.num_states, feature_config.obs_dim,
         seed=config.seed, scale=config.init_scale,
@@ -432,10 +432,7 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Checkpoint, TrainRepor
     cause = None
     for k, (sequences, epochs, objective) in enumerate(stages, start=1):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(k,)))
-        theta, cause = _run_sgd(
-            sequences, theta, hidden_map, feature_config, dataset.label_set.blank_id,
-            config, epochs, objective, rng, losses, norms,
-        )
+        theta, cause = _run_sgd(sequences, theta, objective, config, epochs, rng, losses, norms)
         if cause is not None:
             break
 

@@ -190,8 +190,9 @@ class TestTrain:
 
     @pytest.mark.parametrize("entry", [
         '[[0,6,"C"]', "7", '[[0,999,"A"]]', "[[0,3]]", '[[0,3,"<blank>"]]', '[[5,3,"A"]]',
+        '[[false,3,"A"]]',
     ], ids=["bad-json", "not-a-list", "past-the-end", "not-a-triple", "blank-label",
-            "end-before-start"])
+            "end-before-start", "bool-start"])
     def test_malformed_segment_metadata_is_io_error(self, tmp_path, capsys, entry):
         data = tmp_path / "data.jsonl"
         assert run("gen", "--out", str(data), "--classes", "3", "--dim", "2",
@@ -283,8 +284,14 @@ class TestTrain:
         ({}, {"frame_labels": "AABB"}, "'frame_labels' must be an array of label names"),
         ({"labels": ["1", "2"]}, {"frame_labels": [1, 1, 2, 2], "label_seq": [1, 2]},
          "'frame_labels' must be an array of label names"),
+        ({}, {"frames": [[0.0], [True], [0.5], [0.2]]}, "array of rows of numbers"),
+        ({}, {"frames": [[0.0], ["1.5"], [0.5], [0.2]]}, "array of rows of numbers"),
+        ({"dim": 2}, {"frames": [[0.0, 1.0], [1.0, True], [0.5, 0.1], [0.2, 0.3]]},
+         "array of rows of numbers"),
+        ({}, {"frames": [[0.0], [10**400], [0.5], [0.2]]}, "bad frames"),
     ], ids=["dim-true", "id-5", "id-null", "label-seq-string", "frame-labels-string",
-            "numeric-labels"])
+            "numeric-labels", "bool-frame", "string-frame", "bool-in-number-row",
+            "int-beyond-float"])
     def test_data_field_of_wrong_type_is_io_error(self, tmp_path, capsys, header, change,
                                                   message):
         head = {"labels": ["A", "B"], "dim": 1, **header}
@@ -307,6 +314,14 @@ class TestTrain:
                    "--config", str(conf), "--hidden", "1")
         assert code == EXIT_OK
         assert Checkpoint.load(model).hidden_map.states_per_label == 1
+        # a file that is invalid on its own but valid once the flags are merged in
+        conf.write_text('{"epochs": 1, "pretrain_epochs": 2}')
+        code = run("train", "--data", str(tiny_data), "--out", str(model),
+                   "--report", str(tmp_path / "r.json"), "--config", str(conf),
+                   "--epochs", "2", "--mode", "pretrain_finetune")
+        assert code == EXIT_OK
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert (report["epochs_completed"], report["pretrain_epochs"]) == (2, 2)
 
     def test_model_preset_crf_forces_h1_frame_wise(self, tiny_data, tmp_path):
         model = tmp_path / "m.json"

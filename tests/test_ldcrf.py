@@ -1,12 +1,14 @@
 """Latent-block layer: label marginals, restricted likelihood, decoding."""
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from seqcrf.chain import forward_backward
-from seqcrf.features import FeatureConfig, HiddenStateMap, ModelParams
+import seqcrf.ldcrf as ldcrf_mod
+from seqcrf.chain import forward_backward, masked_forward_backward, transition_counts
+from seqcrf.features import FeatureConfig, HiddenStateMap, ModelParams, observation_matrix
 from seqcrf.ldcrf import (
     decode_frames_viterbi,
     frame_label_marginals,
@@ -178,6 +180,49 @@ class TestFrameObjective:
         loss_b, grad_b = ldcrf_frame_objective([seq_b], params, hidden_map, config)
         assert loss_ab == pytest.approx(loss_a + loss_b, abs=1e-10)
         np.testing.assert_allclose(grad_ab, grad_a + grad_b, atol=1e-10)
+
+    def test_one_chain_call_per_batch_equals_one_table_passes(self, monkeypatch):
+        # both chains of every sequence go through one forward_backward_batch
+        # call, whose posteriors are read pairwise as they come; loss and
+        # gradient are bit for bit those of separate one-table passes
+        rng = np.random.default_rng(72)
+        _, params, hidden_map, config = make_instance(rng, 1, num_labels=3, h=2)
+        batch = [Sequence(id=f"s{i}", frames=rng.normal(size=(t, 3)),
+                          frame_labels=[int(a) for a in rng.integers(0, 3, size=t)])
+                 for i, t in enumerate((1, 4, 9, 2, 6, 3))]
+        real = ldcrf_mod.forward_backward_batch
+        calls, alive = [], []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            live = []
+            for post in real(*args, **kwargs):
+                live = [ref for ref in live if ref() is not None] + [weakref.ref(post)]
+                alive.append(len(live))
+                yield post
+
+        monkeypatch.setattr(ldcrf_mod, "forward_backward_batch", counting)
+        loss, grad = ldcrf_frame_objective(batch, params, hidden_map, config, l2=1e-3)
+        assert len(calls) == 1
+        assert len(alive) == 2 * len(batch) and max(alive) <= 4
+
+        trans = params.trans_weights
+        ref_loss = 0.0
+        ref_state, ref_trans = np.zeros_like(params.state_weights), np.zeros_like(trans)
+        for seq in batch:
+            obs = observation_matrix(seq, config)
+            scores = obs @ params.state_weights.T
+            allowed = hidden_map.state_owner()[None, :] == np.array(seq.frame_labels)[:, None]
+            free = forward_backward(scores, trans)
+            restricted = masked_forward_backward(scores, trans, allowed)
+            ref_loss += free.log_z - restricted.log_z
+            ref_state += (free.node_marginals - restricted.node_marginals).T @ obs
+            ref_trans += transition_counts(free, trans) - transition_counts(restricted, trans)
+        theta = params.flatten()
+        ref_loss += 1e-3 * float(theta @ theta)
+        ref_grad = np.concatenate([ref_state.ravel(), ref_trans.ravel()]) + 2e-3 * theta
+        assert loss == ref_loss
+        assert np.array_equal(grad, ref_grad)
 
     def test_zero_l2_zero_data_gradient_at_symmetry(self):
         # a single frame with uniform scores: the free and restricted

@@ -213,14 +213,14 @@ class TestGenerator:
             assert seq.dim == 3
             assert len(seq.frame_labels) == seq.num_frames
             assert seq.label_seq == collapse(seq.frame_labels, ds.label_set.blank_id)
-            assert 3 <= len(segment_boundaries(ds, seq.id)) <= 5
+            assert 3 <= len(segment_boundaries(ds, seq)) <= 5
             assert ds.label_set.blank_id not in seq.frame_labels
 
     def test_segment_lengths_respect_range(self):
         config = GeneratorConfig(classes=3, dim=2, num_sequences=6, seg_len_range=(5, 7))
         ds = generate_synthetic(config, seed=0)
         for seq in ds.sequences:
-            for start, end, _ in segment_boundaries(ds, seq.id):
+            for start, end, _ in segment_boundaries(ds, seq):
                 assert 5 <= end - start <= 7
 
     def test_deterministic_per_seed(self):
@@ -243,7 +243,7 @@ class TestGenerator:
         ds = generate_synthetic(config, seed=2)
         found_gap = False
         for seq in ds.sequences:
-            bounds = segment_boundaries(ds, seq.id)
+            bounds = segment_boundaries(ds, seq)
             for (s0, e0, lab0), (s1, _e1, _lab1) in zip(bounds, bounds[1:]):
                 for j in range(e0, s1):  # the gap, if any
                     found_gap = True
@@ -256,7 +256,7 @@ class TestGenerator:
         ds = generate_synthetic(config, seed=4)
         by_label = {}
         for seq in ds.sequences:
-            for start, end, lab in segment_boundaries(ds, seq.id):
+            for start, end, lab in segment_boundaries(ds, seq):
                 chunk = seq.frames[start:end]
                 if lab in by_label:
                     np.testing.assert_allclose(chunk, by_label[lab], atol=1e-12)
@@ -280,7 +280,7 @@ class TestSegmentExtraction:
         pieces = extract_segment_subsequences(ds)
         by_id = {p.id: p for p in pieces.sequences}
         for seq in ds.sequences:
-            for k, (start, end, lab) in enumerate(segment_boundaries(ds, seq.id)):
+            for k, (start, end, lab) in enumerate(segment_boundaries(ds, seq)):
                 piece = by_id[f"{seq.id}#{k}"]
                 np.testing.assert_array_equal(piece.frames, seq.frames[start:end])
                 assert piece.frame_labels == [lab] * (end - start)
@@ -299,7 +299,7 @@ class TestSegmentExtraction:
     def test_missing_boundaries_raise(self):
         ds = tiny_dataset()
         with pytest.raises(DatasetFormatError):
-            segment_boundaries(ds, "a")
+            segment_boundaries(ds, ds.sequences[0])
         with pytest.raises(DatasetFormatError):
             extract_segment_subsequences(ds)
 
