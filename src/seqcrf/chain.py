@@ -1,22 +1,21 @@
-"""Log-space inference over a linear chain of hidden states.
+"""Exact inference over a linear chain of hidden states.
 
 The chain distribution is Gibbs: P(h | x) proportional to
 exp(sum_j score[j, h_j] + sum_j trans[h_j, h_{j+1}]), with one shared
-transition matrix across all adjacent pairs.  Every recursion (forward
-and backward messages, Viterbi's max, both sweeps of the adjoint, and
-the CTC lattice in ctc.py) is one call to ``scan``; a backward one scans
-the reversed inputs.  ``forward_backward_batch`` runs the chain passes of
-a whole dataset or batch: it stacks their score tables, at most
-``_PASS_CELLS`` cells a pass, and scans each stack once per direction, so
-a frame pays numpy dispatch once per pass instead of once per sequence.
-Each table's posteriors are bit for bit those of its own one-table pass,
-which is all ``forward_backward`` and ``masked_forward_backward`` run.
-Messages run in the log domain with a plain-numpy max-shifted
-log-sum-exp, so score magnitudes up to a few hundred cause no overflow,
-and they are returned with the posteriors so that ``transition_counts``
-and ``fb_adjoint`` reuse them instead of recomputing them.  The message
-passes build no per-frame (T-1, H, H) edge table; ``transition_counts``
-forms one and sums it on the spot.
+transition matrix across all adjacent pairs.  ``forward_backward_batch``
+stacks the score tables of a whole dataset or batch, at most
+``_PASS_CELLS`` cells a pass, and runs each stack's forward and backward
+messages as two rows of one scan, so a frame pays numpy dispatch once per
+pass.  The scan carries probabilities rescaled to unit sum every frame
+(Rabiner 1989); a table whose scaled messages under- or overflow, as
+score magnitudes in the hundreds can make them, is rerun alone in the log
+domain.  Each table's posteriors are bit for bit those of its own
+one-table pass, which is all ``forward_backward`` and
+``masked_forward_backward`` run.  The posteriors carry the log messages
+so that ``transition_counts`` and ``fb_adjoint`` reuse them; no per-frame
+(T-1, H, H) edge table is kept.  The other recursions (that fallback,
+Viterbi's max, both sweeps of the adjoint and the CTC lattice in ctc.py)
+are each one call to ``scan``; a backward one scans the reversed inputs.
 
 Conventions: trans[a, b] scores a transition from state a at position j
 to state b at position j+1.
@@ -74,27 +73,76 @@ def scan(first, inputs: np.ndarray, step) -> np.ndarray:
     return out
 
 
-def _pass(tables: list[np.ndarray], trans: np.ndarray) -> Iterator[ChainPosteriors]:
+def _log_messages(scores: np.ndarray, trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_scaled_messages`` of one table in the log domain, its fallback.
+    The forward scan starts at -0.0 because x + -0.0 is x bit for bit."""
+    fwd = scan(-0.0, scores, lambda _, v: _logsumexp(v[:, None] + trans, axis=0))
+    bwd = scan(0.0, scores[::-1], lambda _, v: _logsumexp(trans + v[None, :], axis=1))
+    return fwd, bwd
+
+
+def _scaled_messages(tables: list[np.ndarray], trans: np.ndarray, scratch: list) -> np.ndarray:
+    """Forward and backward scan outputs of a stacked pass, (T_max, 2, B, H).
+
+    Row k reads out[j, c] = lse_i(out[j-1, i] + x[j-1, i] + m[k, i, c]),
+    m = [trans, trans.T], over the tables (row 0) or their reversed frames
+    (row 1), zero-padded past their ends.  exp(out) is carried rescaled to
+    unit sum per frame, four calls a step for both rows; each row is its
+    own (1, H) @ (H, H) product, so rows do not touch.  An entry that
+    under- or overflows comes out non-finite.  ``scratch[0]`` holds the
+    inputs, then their exponentials, and grows to fit the pass.
+    """
+    t_max, rows, h = max(len(scores) for scores in tables), len(tables), trans.shape[0]
+    size = t_max * 2 * rows * h
+    if scratch[0].size < size:
+        scratch[0] = np.empty(size)
+    x = scratch[0][:size].reshape(t_max, 2, rows, h)
+    x.fill(0.0)
+    for b, scores in enumerate(tables):
+        x[:len(scores), 0, b] = scores
+        x[:len(scores), 1, b] = scores[::-1]
+    m = np.stack([trans, trans.T])
+    cmx = m.max(axis=1)  # column maxima, carried into the next frame's input
+    e = np.exp(m - cmx[:, None, :])[:, None]  # (2, 1, H, H), entries in (0, 1]
+    msg = np.empty(x.shape)
+    norm = np.empty((t_max, 2, rows, 1))
+    v, u = np.empty((2, 2, rows, 1, h))
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        x[1:] += cmx[:, None, :]
+        xm = x.max(-1, keepdims=True)
+        f = np.exp(np.subtract(x, xm, out=x), out=x)
+        msg[0] = 1.0
+        v0, u0 = v[:, :, 0], u[:, :, 0]
+        for j in range(t_max - 1):
+            np.multiply(msg[j], f[j], out=v0)
+            np.matmul(v, e, out=u)
+            np.sum(u0, -1, keepdims=True, out=norm[j + 1])
+            np.divide(u0, norm[j + 1], out=msg[j + 1])
+        np.log(norm[1:], out=norm[1:])
+        norm[1:] += xm[:-1]
+        norm[0] = 0.0
+        out = np.log(msg, out=msg)
+        out += np.cumsum(norm, 0)
+        out[1:] += cmx[:, None, :]
+    return out
+
+
+def _pass(tables: list[np.ndarray], trans: np.ndarray, scratch: list) -> Iterator[ChainPosteriors]:
     """One stacked pass over ``tables``, whose posteriors view its messages.
 
-    -inf scores are tolerated while every frame keeps a finite one, so
-    every max is finite.  The forward scan starts at -0.0 because x + -0.0
-    is x bit for bit.  NaN marginals fail the row-sum check too.
+    A table with a non-finite scaled message is rerun alone by
+    ``_log_messages``, as its one-table pass is.  -inf scores are
+    tolerated while every frame keeps a finite one.  NaN marginals fail
+    the row-sum check too.
     """
-    lengths = [len(scores) for scores in tables]
-    stack = np.zeros((max(lengths), len(tables), trans.shape[0]))
-    # one table scans as its (T, H) view: 2-D steps cost less to dispatch
-    inputs = stack[:, 0] if len(tables) == 1 else stack
+    out = _scaled_messages(tables, trans, scratch)
+    finite = bool(np.isfinite(out).all())
     for b, scores in enumerate(tables):
-        stack[:len(scores), b] = scores
-    log_alpha = scan(-0.0, inputs, lambda _, v: _logsumexp(v[..., :, None] + trans, axis=-2))
-    log_alpha += inputs
-    for b, scores in enumerate(tables):
-        stack[:len(scores), b] = scores[::-1]
-    log_beta = scan(0.0, inputs, lambda _, v: _logsumexp(trans + v[..., None, :], axis=-1))
-    log_alpha, log_beta = log_alpha.reshape(stack.shape), log_beta.reshape(stack.shape)
-    for b, (scores, t) in enumerate(zip(tables, lengths)):
-        alpha, beta = log_alpha[:t, b], log_beta[t - 1::-1, b]
+        t = len(scores)
+        fwd, bwd = out[:t, 0, b], out[:t, 1, b]
+        if not (finite or np.isfinite(fwd).all() and np.isfinite(bwd).all()):
+            fwd, bwd = _log_messages(scores, trans)
+        alpha, beta = np.add(fwd, scores, out=fwd), bwd[::-1]
         log_z = float(_logsumexp(alpha[-1]))
         node = np.exp(alpha + beta - log_z)
         if not np.all(np.abs(node.sum(axis=1) - 1.0) <= 1e-6):
@@ -113,14 +161,15 @@ def forward_backward_batch(
     ``allowed`` optionally gives each table a (T_i, H) mask: disallowed
     states get zero marginal mass exactly, and log_z is the log partition
     of the restricted chain.  The tables of a pass are stacked time-major,
-    zero-padded past their ends; the backward stack holds each table's
-    frames reversed, so every row starts both scans at stack frame 0 and
-    no padded frame reaches a live one.  A pass holds at most _PASS_CELLS
-    cells of B * T_max * H (a longer table is a pass of its own), and its
-    buffers live until the last of its posteriors is dropped.
+    zero-padded past their ends, and each pass is one ``_scaled_messages``
+    scan.  A pass holds at most _PASS_CELLS cells of B * T_max * H (a
+    longer table is a pass of its own).  Its messages live until the last
+    of its posteriors is dropped; the scratch that holds its inputs is
+    allocated once per call and reused by every pass.
     FloatingPointError unless every marginal row sums to 1 within 1e-6.
     """
     trans = _finite("trans_weights", trans_weights)
+    scratch = [np.empty(0)]
     group: list[np.ndarray] = []
     t_max = 0
     masks = itertools.repeat(None) if allowed is None else allowed
@@ -135,12 +184,12 @@ def forward_backward_batch(
             scores = np.where(mask, scores, -np.inf)
         t, h = scores.shape
         if group and (len(group) + 1) * max(t_max, t) * h > _PASS_CELLS:
-            yield from _pass(group, trans)
+            yield from _pass(group, trans, scratch)
             group, t_max = [], 0
         group.append(scores)
         t_max = max(t_max, t)
     if group:
-        yield from _pass(group, trans)
+        yield from _pass(group, trans, scratch)
 
 
 def forward_backward(node_scores: np.ndarray, trans_weights: np.ndarray) -> ChainPosteriors:

@@ -1,6 +1,7 @@
 """Exactness of the chain layer against explicit path enumeration."""
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +223,52 @@ class TestBatch:
             list(forward_backward_batch(tables, np.zeros((4, 4)), masks))
 
 
+@pytest.fixture
+def reruns(monkeypatch):
+    """The score tables the chain pass reruns in the log domain, in order."""
+    seen = []
+    log_messages = chain_mod._log_messages
+
+    def spy(scores, trans):
+        seen.append(scores)
+        return log_messages(scores, trans)
+
+    monkeypatch.setattr(chain_mod, "_log_messages", spy)
+    return seen
+
+
+class TestLogDomainFallback:
+    """A table whose scaled messages under- or overflow is rerun alone in
+    the log domain; every other table keeps the scaled pass."""
+
+    def test_only_the_overflowing_table_reruns_bit_for_bit(self, reruns):
+        rng = np.random.default_rng(33)
+        tables, _ = random_tables(rng, 14, 6, masked=False)
+        tables[2] = tables[2] * (500.0 / 3.0)
+        trans = rng.normal(size=(14, 14)) * 100.0
+        batch = list(forward_backward_batch(tables, trans))
+        assert [id(scores) for scores in reruns] == [id(batch[2].node_scores)]
+        reruns.clear()
+        ones = [forward_backward(s, trans) for s in tables]
+        assert len(reruns) == 1 and reruns[0] is ones[2].node_scores
+        for got, one in zip(batch, ones):
+            assert got.log_z == one.log_z
+            for field in ("node_marginals", "node_scores", "log_alpha", "log_beta"):
+                assert np.array_equal(getattr(got, field), getattr(one, field)), field
+
+    def test_overflowing_pass_warns_nothing(self, reruns):
+        rng = np.random.default_rng(34)
+        scores = rng.uniform(-500.0, 500.0, size=(200, 14))
+        trans = rng.uniform(-500.0, 500.0, size=(14, 14))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            post = forward_backward(scores, trans)
+        assert len(reruns) == 1
+        log_z, node = longdouble_forward_backward(scores, trans)
+        assert abs(post.log_z - log_z) <= 1e-12 * abs(log_z)
+        assert float(np.max(np.abs(post.node_marginals - node))) <= 1e-9
+
+
 class TestLongChains:
     """Exactness at T = 10^4 against an extended-precision recursion.
 
@@ -232,9 +279,14 @@ class TestLongChains:
 
     T = 10**4
 
-    @pytest.fixture(params=[(14, 500.0), (4, 1.0)], ids=["h14-scale500", "h4-scale1"])
+    @pytest.fixture(
+        params=[(14, 500.0), (14, 100.0), (4, 1.0)],
+        ids=["h14-scale500", "h14-scale100", "h4-scale1"],
+    )
     def chain(self, request):
-        h, scale = request.param
+        return self.make_chain(*request.param)
+
+    def make_chain(self, h, scale):
         rng = np.random.default_rng(h)
         scores = rng.uniform(-scale, scale, size=(self.T, h))
         trans = rng.uniform(-scale, scale, size=(h, h))
@@ -257,6 +309,14 @@ class TestLongChains:
         post = masked_forward_backward(scores, trans, allowed)
         self.check(post, np.where(allowed, scores, -np.inf), trans)
         assert np.all(post.node_marginals[~allowed] == 0.0)
+
+    def test_scale_100_takes_the_scaled_pass(self, reruns):
+        # its messages stay finite, so the bounds the h14-scale100 chain
+        # meets are the scaled pass's own, not the log-domain fallback's
+        scores, trans, allowed = self.make_chain(14, 100.0)
+        forward_backward(scores, trans)
+        masked_forward_backward(scores, trans, allowed)
+        assert reruns == []
 
     def test_constant_upstream_gives_zero_adjoint(self, chain):
         # each sweep carries up to c*T per frame, and c*T^2 into the
