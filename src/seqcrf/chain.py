@@ -13,8 +13,8 @@ domain.  Each table's posteriors are bit for bit those of its own
 one-table pass, which is all ``forward_backward`` and
 ``masked_forward_backward`` run.  The posteriors carry the log messages
 so that ``transition_counts`` and ``fb_adjoint`` reuse them; no per-frame
-(T-1, H, H) edge table is kept.  The other recursions (that fallback,
-Viterbi's max, both sweeps of the adjoint and the CTC lattice in ctc.py)
+(T-1, H, H) edge table is kept.  ``fb_adjoint_batch`` stacks a batch's
+adjoints in one frame loop.  The log-domain fallback and Viterbi's max
 are each one call to ``scan``; a backward one scans the reversed inputs.
 
 Conventions: trans[a, b] scores a transition from state a at position j
@@ -23,6 +23,7 @@ to state b at position j+1.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -30,6 +31,7 @@ import numpy as np
 
 
 _PASS_CELLS = 1 << 15  # B * T_max * H cells one stacked pass holds at most
+_ADJOINT_CELLS = 1 << 18  # B * T_max * H * H cells one stacked adjoint holds at most
 
 
 @dataclass
@@ -116,7 +118,7 @@ def _scaled_messages(tables: list[np.ndarray], trans: np.ndarray, scratch: list)
         for j in range(t_max - 1):
             np.multiply(msg[j], f[j], out=v0)
             np.matmul(v, e, out=u)
-            np.sum(u0, -1, keepdims=True, out=norm[j + 1])
+            np.add.reduce(u0, -1, keepdims=True, out=norm[j + 1])
             np.divide(u0, norm[j + 1], out=msg[j + 1])
         np.log(norm[1:], out=norm[1:])
         norm[1:] += xm[:-1]
@@ -125,6 +127,35 @@ def _scaled_messages(tables: list[np.ndarray], trans: np.ndarray, scratch: list)
         out += np.cumsum(norm, 0)
         out[1:] += cmx[:, None, :]
     return out
+
+
+def stacks(items: Iterable, shape, cap: int) -> Iterator[list]:
+    """``items`` in runs of at most ``cap`` cells: a run's length times the
+    product of the largest extents of ``shape(item)``.  An item over ``cap``
+    runs alone; a run is yielded before the next item is drawn."""
+    run, top = [], ()
+    for item in items:
+        dims = shape(item)
+        if run and (len(run) + 1) * math.prod(map(max, top, dims)) > cap:
+            yield run
+            run = []
+        top = tuple(map(max, top, dims)) if run else dims
+        run.append(item)
+    if run:
+        yield run
+
+
+def _table(scores: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    """Finite ``scores`` as float64, -inf where a given ``mask`` is False."""
+    scores = _finite("node_scores", scores)
+    if mask is None:
+        return scores
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != scores.shape:
+        raise ValueError("allowed mask must match node_scores shape")
+    if not np.all(mask.any(axis=1)):
+        raise ValueError("every frame needs at least one allowed state")
+    return np.where(mask, scores, -np.inf)
 
 
 def _pass(tables: list[np.ndarray], trans: np.ndarray, scratch: list) -> Iterator[ChainPosteriors]:
@@ -170,25 +201,9 @@ def forward_backward_batch(
     """
     trans = _finite("trans_weights", trans_weights)
     scratch = [np.empty(0)]
-    group: list[np.ndarray] = []
-    t_max = 0
     masks = itertools.repeat(None) if allowed is None else allowed
-    for scores, mask in zip(node_scores, masks, strict=allowed is not None):
-        scores = _finite("node_scores", scores)
-        if mask is not None:
-            mask = np.asarray(mask, dtype=bool)
-            if mask.shape != scores.shape:
-                raise ValueError("allowed mask must match node_scores shape")
-            if not np.all(mask.any(axis=1)):
-                raise ValueError("every frame needs at least one allowed state")
-            scores = np.where(mask, scores, -np.inf)
-        t, h = scores.shape
-        if group and (len(group) + 1) * max(t_max, t) * h > _PASS_CELLS:
-            yield from _pass(group, trans, scratch)
-            group, t_max = [], 0
-        group.append(scores)
-        t_max = max(t_max, t)
-    if group:
+    tables = itertools.starmap(_table, zip(node_scores, masks, strict=allowed is not None))
+    for group in stacks(tables, np.shape, _PASS_CELLS):
         yield from _pass(group, trans, scratch)
 
 
@@ -239,6 +254,67 @@ def viterbi(node_scores: np.ndarray, trans_weights: np.ndarray) -> tuple[np.ndar
     return path, float(delta[t - 1, path[t - 1]])
 
 
+def _sweep_inputs(scores: np.ndarray, trans: np.ndarray, upstream: np.ndarray,
+                  posteriors: ChainPosteriors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One item's (weighted, r, q) for the adjoint's sweeps, whose softmax
+    weights r[j, a, b] = P(h_{j+1}=b | h_j=a) and q[j-1, a, b] =
+    P(h_{j-1}=a | h_j=b, frames 0..j) cannot underflow: each is one exp of
+    differences of log messages."""
+    scores = _finite("node_scores", scores)
+    upstream = _finite("grad_node_marginals", upstream)
+    if upstream.shape != scores.shape:
+        raise ValueError("upstream gradient must match node_scores shape")
+    log_alpha, log_beta = posteriors.log_alpha, posteriors.log_beta
+    if log_alpha.shape != scores.shape or not np.all(np.isfinite(log_alpha)):
+        raise ValueError("posteriors must be forward_backward's output for node_scores")
+    marg = posteriors.node_marginals
+    weighted = upstream * marg
+    r = np.exp(trans + (scores[1:] + log_beta[1:])[:, None, :] - log_beta[:-1, :, None])
+    q = np.exp(log_alpha[:-1, :, None] + trans - (log_alpha[1:] - scores[1:])[:, None, :])
+    # log Z's adjoint enters at the last frame, which the first sweep never reads
+    weighted[-1] -= float(np.sum(weighted)) * marg[-1]
+    return weighted, r, q
+
+
+def fb_adjoint_batch(
+    node_scores: Iterable[np.ndarray],
+    trans_weights: np.ndarray,
+    grad_node_marginals: Iterable[np.ndarray],
+    posteriors: Iterable[ChainPosteriors],
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``fb_adjoint`` of each item in turn, each bit for bit what a call on
+    that item alone gives.  A stack of at most _ADJOINT_CELLS cells of
+    B * T_max * H * H runs both sweeps of its items, zero-padded, in one
+    frame loop, each product its item's own (1, H) @ (H, H) or (H, H) @
+    (H, 1) matmul: the forms that give ``v @ r`` and ``q @ v`` bit for bit."""
+    trans = _finite("trans_weights", trans_weights)
+    items = (_sweep_inputs(scores, trans, upstream, post) for scores, upstream, post
+             in zip(node_scores, grad_node_marginals, posteriors, strict=True))
+    for group in stacks(items, lambda item: (len(item[0]), *trans.shape), _ADJOINT_CELLS):
+        t_max, rows = max(len(w) for w, _, _ in group), len(group)
+        # out[j + 1] holds the sweeps' inputs at step j until the step replaces them
+        out = np.zeros((t_max, 2, rows, len(trans)))
+        r, q = np.zeros((2, t_max - 1, rows, *trans.shape))
+        for b, (weighted, r_b, q_b) in enumerate(group):
+            t = len(weighted)
+            out[1:t, 0, b], out[1:t, 1, b] = weighted[:-1], weighted[:0:-1]
+            r[:t - 1, b], q[:t - 1, b] = r_b, q_b[::-1]
+        out[0, 1] = -0.0
+        v = np.empty(out.shape[1:])
+        for j in range(t_max - 1):
+            # carry[j + 1] = (carry[j] + weighted[j]) @ r[j] from frame 0 up, and
+            # s[j + 1] = q[t-2-j] @ (s[j] + weighted[t-1-j]) over the frames reversed
+            np.add(out[j], out[j + 1], out=v)
+            np.matmul(v[0, :, None, :], r[j], out=out[j + 1, 0, :, None, :])
+            np.matmul(q[j], v[1, :, :, None], out=out[j + 1, 1, :, :, None])
+        for b, (weighted, r_b, q_b) in enumerate(group):
+            t = len(weighted)
+            carry, alpha_bar = out[:t, 0, b], weighted + out[:t, 1, b][::-1]
+            grad_trans = np.einsum("ja,jab->ab", weighted[:-1] + carry[:-1], r_b)
+            grad_trans += np.einsum("jab,jb->ab", q_b, alpha_bar[1:])
+            yield carry + alpha_bar, grad_trans
+
+
 def fb_adjoint(
     node_scores: np.ndarray,
     trans_weights: np.ndarray,
@@ -251,39 +327,8 @@ def fb_adjoint(
     that ``forward_backward(node_scores, trans_weights)`` returned,
     returns the exact dL/d(node_scores) and dL/d(trans_weights) by
     reversing that pass's recursions over its own messages (nothing is
-    recomputed).  Cost O(T * H^2).  Each sweep's softmax weights come
-    from differences of log messages in one exp, so they cannot
-    underflow; the loops carry only one vector-matrix product per frame.
+    recomputed).  Cost O(T * H^2); each sweep carries one vector-matrix
+    product per frame.
     """
-    node_scores = _finite("node_scores", node_scores)
-    trans_weights = _finite("trans_weights", trans_weights)
-    upstream = _finite("grad_node_marginals", grad_node_marginals)
-    if upstream.shape != node_scores.shape:
-        raise ValueError("upstream gradient must match node_scores shape")
-    log_alpha, log_beta = posteriors.log_alpha, posteriors.log_beta
-    if log_alpha.shape != node_scores.shape or not np.all(np.isfinite(log_alpha)):
-        raise ValueError("posteriors must be forward_backward's output for node_scores")
-
-    marg = posteriors.node_marginals
-    weighted = upstream * marg
-
-    # reverse sweep of the backward recursion (computed from t-2 down to 0,
-    # so adjoints propagate 0 -> t-2) through the row-softmax weights
-    # r[j, a, b] = P(h_{j+1}=b | h_j=a); beta_bar = weighted + carry
-    r = np.exp(
-        trans_weights + (node_scores[1:] + log_beta[1:])[:, None, :] - log_beta[:-1, :, None]
-    )
-    carry = scan(0.0, weighted, lambda j, v: v @ r[j])
-    grad_trans = np.einsum("ja,jab->ab", weighted[:-1] + carry[:-1], r)
-
-    # reverse sweep of the forward recursion through the column-softmax
-    # weights q[j-1, a, b] = P(h_{j-1}=a | h_j=b, frames 0..j); log Z's
-    # adjoint enters at the last frame
-    q = np.exp(
-        log_alpha[:-1, :, None] + trans_weights - (log_alpha[1:] - node_scores[1:])[:, None, :]
-    )
-    weighted[-1] -= float(np.sum(weighted)) * marg[-1]
-    alpha_bar = weighted + scan(-0.0, weighted[::-1], lambda j, v: q[-1 - j] @ v)[::-1]
-    grad_trans += np.einsum("jab,jb->ab", q, alpha_bar[1:])
-
-    return carry + alpha_bar, grad_trans
+    return next(fb_adjoint_batch([node_scores], trans_weights, [grad_node_marginals],
+                                 [posteriors]))

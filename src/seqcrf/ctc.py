@@ -3,21 +3,23 @@
 Given a per-frame label probability table q and a target label sequence
 z, the dynamic program sums the products of q over every frame path that
 collapses to z (merge adjacent repeats, drop blanks).  The recursions run
-in the log domain; the error table is the derivative of log P(z | x)
-with respect to the unconstrained entries of q.
+in the log domain, a batch's lattices as rows of one padded scan
+(``ctc_forward_backward_batch``); the error table is the derivative of
+log P(z | x) with respect to the unconstrained entries of q.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence as SequenceT
+from typing import Iterable, Iterator, Sequence as SequenceT
 
 import numpy as np
 
-from .chain import scan
+from .chain import stacks
 from .seqdata import collapse
 
 Q_FLOOR = 1e-300
+_LATTICE_CELLS = 1 << 16  # B * T_max * S_max cells one stacked lattice holds at most
 
 
 class CtcInfeasibleError(ValueError):
@@ -48,23 +50,71 @@ def min_frames_required(z: SequenceT[int]) -> int:
     return len(z) + repeats
 
 
-def _validate_target(z: SequenceT[int], num_labels: int, blank_id: int) -> list[int]:
+def check_target(z: SequenceT[int], num_frames: int, num_labels: int, blank_id: int) -> list[int]:
+    """``z`` as a list of label ids; ValueError unless each is a real label,
+    CtcInfeasibleError if it structurally cannot fit in ``num_frames``."""
     z = [int(a) for a in z]
     for a in z:
         if not 0 <= a < num_labels:
             raise ValueError(f"target label id {a} out of range")
         if a == blank_id:
             raise ValueError("target sequence may not contain the blank")
+    needed = min_frames_required(z)
+    if needed > num_frames:
+        raise CtcInfeasibleError(
+            f"target of length {len(z)} needs at least {needed} frames, have {num_frames}"
+        )
     return z
 
 
-def _lattice_step(prev: np.ndarray, skip: np.ndarray) -> np.ndarray:
-    """One frame of the lattice: each path stays on its position, advances
-    by one, or jumps two where ``skip`` allows it."""
-    acc = prev.copy()
-    acc[1:] = np.logaddexp(acc[1:], prev[:-1])
-    acc[2:] = np.logaddexp(acc[2:], prev[:-2] + skip)
-    return acc
+def _lattice_inputs(q: np.ndarray, z: SequenceT[int], blank_id: int) -> tuple:
+    """One sequence's (augmented target, log emissions (T, S), skip vector)."""
+    q = np.asarray(q, dtype=np.float64)
+    t, num_labels = q.shape
+    if not np.all(np.isfinite(q)) or np.any(q < 0):
+        raise ValueError("q must be finite and nonnegative")
+    aug = augment_with_blanks(check_target(z, t, num_labels, blank_id), blank_id)
+    with np.errstate(divide="ignore"):
+        emit = np.log(q)[:, aug]
+    # skip[i] = 0 where a path may jump from i to i + 2 (onto a non-blank that
+    # differs from the label two back), else -inf; skip[::-1] serves the reversed target
+    skip = np.where((aug[2:] != blank_id) & (aug[2:] != aug[:-2]), 0.0, -np.inf)
+    return aug, emit, skip
+
+
+def ctc_forward_backward_batch(
+    qs: Iterable[np.ndarray], targets: Iterable[SequenceT[int]], blank_id: int
+) -> Iterator[CtcTables]:
+    """The lattice of each (q, z) pair in turn, each bit for bit what
+    ``ctc_forward_backward`` gives for that pair alone; a bad pair raises that
+    call's error as it is drawn.  A stack of at most _LATTICE_CELLS cells of
+    B * T_max * S_max is one scan, padded with -inf, whose row b is pair b's
+    alpha and row B + b its beta, alpha over the reversed target's lattice.  A
+    step is elementwise and reads only lower positions, so padding reaches no row."""
+    items = (_lattice_inputs(q, z, blank_id) for q, z in zip(qs, targets, strict=True))
+    for group in stacks(items, lambda item: item[1].shape, _LATTICE_CELLS):
+        rows, (t_max, s_max) = len(group), np.max([emit.shape for _, emit, _ in group], axis=0)
+        # out[j + 1] holds frame j's emissions until step j adds them in
+        out = np.full((t_max, 2 * rows, s_max), -np.inf)
+        skips = np.full((2 * rows, max(s_max - 2, 0)), -np.inf)
+        for b, (aug, emit, skip) in enumerate(group):
+            t, s = emit.shape
+            out[1:t, b, :s], out[1:t, rows + b, :s] = emit[:-1], emit[:0:-1, ::-1]
+            skips[b, :len(skip)], skips[rows + b, :len(skip)] = skip, skip[::-1]
+        out[0, :, :2] = 0.0  # paths start on the first two positions, end on the last two
+        jump = np.empty(skips.shape)
+        for j in range(t_max - 1):
+            # each path stays, advances by one, or jumps two where skips allow
+            v = np.add(out[j], out[j + 1], out=out[j + 1])
+            np.add(v[:, :-2], skips, out=jump)
+            np.logaddexp(v[:, 1:], v[:, :-1], out=v[:, 1:])
+            np.logaddexp(v[:, 2:], jump, out=v[:, 2:])
+        for b, (aug, emit, _) in enumerate(group):
+            t, s = emit.shape
+            log_alpha = emit + out[:t, b, :s]
+            # the path ends on the last label or the trailing blank
+            log_prob = float(np.logaddexp.reduce(log_alpha[-1, -2:]))
+            yield CtcTables(aug, log_alpha, out[:t, rows + b, :s][::-1, ::-1], log_prob)
 
 
 def ctc_forward_backward(q: np.ndarray, z: SequenceT[int], blank_id: int) -> CtcTables:
@@ -77,33 +127,7 @@ def ctc_forward_backward(q: np.ndarray, z: SequenceT[int], blank_id: int) -> Ctc
     CtcInfeasibleError; a target whose every alignment has zero mass
     yields log_prob = -inf rather than an error.
     """
-    q = np.asarray(q, dtype=np.float64)
-    t, num_labels = q.shape
-    if not np.all(np.isfinite(q)) or np.any(q < 0):
-        raise ValueError("q must be finite and nonnegative")
-    z = _validate_target(z, num_labels, blank_id)
-    needed = min_frames_required(z)
-    if needed > t:
-        raise CtcInfeasibleError(
-            f"target of length {len(z)} needs at least {needed} frames, have {t}"
-        )
-    aug = augment_with_blanks(z, blank_id)
-    s = aug.shape[0]
-    with np.errstate(divide="ignore"):
-        emit = np.log(q)[:, aug]  # (T, S)
-
-    # skip[i] is 0 if the path may jump from position i to i + 2 (onto a
-    # non-blank differing from the label two back), else -inf.  Reversed, it
-    # is the skip vector of the reversed target, whose lattice beta runs on.
-    skip = np.where((aug[2:] != blank_id) & (aug[2:] != aug[:-2]), 0.0, -np.inf)
-    skip_rev = skip[::-1]
-    first = np.full(s, -np.inf)
-    first[:2] = 0.0  # paths start on the first two positions and, reversed, end on the last two
-    log_alpha = emit + scan(first, emit, lambda _, v: _lattice_step(v, skip))
-    # the path ends on the last label or the trailing blank
-    log_prob = float(np.logaddexp.reduce(log_alpha[-1, -2:]))
-    log_beta = scan(first, emit[::-1, ::-1], lambda _, v: _lattice_step(v, skip_rev))[::-1, ::-1]
-    return CtcTables(augmented=aug, log_alpha=log_alpha, log_beta=log_beta, log_prob=log_prob)
+    return next(ctc_forward_backward_batch([q], [z], blank_id))
 
 
 def ctc_error_table(tables: CtcTables, q: np.ndarray) -> np.ndarray:

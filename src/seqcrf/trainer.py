@@ -40,12 +40,14 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .chain import fb_adjoint, forward_backward_batch
+from .chain import fb_adjoint_batch, forward_backward_batch
 from .ctc import (
     Q_FLOOR,
     CtcInfeasibleError,
+    check_target,
     ctc_error_table,
     ctc_forward_backward,
+    ctc_forward_backward_batch,
     min_frames_required,
 )
 from .features import (
@@ -231,9 +233,16 @@ def ctc_ldcrf_loss_and_grad(
     grad_state = np.zeros_like(params.state_weights)
     grad_trans = np.zeros_like(params.trans_weights)
     owner = hidden_map.state_owner()
+    # infeasible targets stay out of the lattice stack; warnings keep batch order
+    infeasible = []
     for seq in batch:
         if seq.label_seq is None:
             raise ValueError(f"sequence {seq.id!r} has no label_seq")
+        try:
+            check_target(seq.label_seq, seq.num_frames, hidden_map.num_labels, blank_id)
+            infeasible.append(None)
+        except CtcInfeasibleError as exc:
+            infeasible.append(exc)
     obs = [observation_matrix(seq, feature_config) for seq in batch]
     scores = [o @ params.state_weights.T for o in obs]
     posts = forward_backward_batch(scores, params.trans_weights)
@@ -245,31 +254,33 @@ def ctc_ldcrf_loss_and_grad(
         scale = 1.0 / _batch_label_prior([q for *_, q in forward])
     else:
         scale = np.ones(hidden_map.num_labels)
-    loss = 0.0
-    used = 0
-    for seq, obs, scores, post, q in forward:
-        q_norm = q * scale
-        try:
-            tables = ctc_forward_backward(q_norm, seq.label_seq, blank_id)
-        except CtcInfeasibleError as exc:
+    q_norms = [q * scale for *_, q in forward]
+    lattices = ctc_forward_backward_batch(
+        [q for q, exc in zip(q_norms, infeasible) if exc is None],
+        [seq.label_seq for seq, exc in zip(batch, infeasible) if exc is None], blank_id)
+    loss, used = 0.0, []
+    for (seq, obs, scores, post, _), q_norm, exc in zip(forward, q_norms, infeasible):
+        if exc is not None:
             logger.warning("sequence %s skipped: %s", seq.id, exc)
             continue
+        tables = next(lattices)
         if not np.isfinite(tables.log_prob):
             logger.warning("sequence %s skipped: alignment mass underflowed to zero", seq.id)
             continue
-        used += 1
         loss -= tables.log_prob
         err = ctc_error_table(tables, q_norm) * scale  # d log P / d q, (T, L)
-        upstream = -err[:, owner]  # d loss / d mu, (T, H)
-        g_scores, g_trans = fb_adjoint(scores, params.trans_weights, upstream, post)
+        used.append((obs, scores, post, -err[:, owner]))  # d loss / d mu, (T, H)
+    if not used:
+        raise EmptyBatchError("every sequence in the batch was skipped; loss undefined")
+    obs, scores, posts, upstreams = zip(*used)
+    adjoints = fb_adjoint_batch(scores, params.trans_weights, upstreams, posts)
+    for o, post, upstream, (g_scores, g_trans) in zip(obs, posts, upstreams, adjoints):
         if grad_mode == "local":
             mu = post.node_marginals
             inner = np.sum(upstream * mu, axis=1, keepdims=True)
             g_scores = mu * (upstream - inner)
-        grad_state += g_scores.T @ obs
+        grad_state += g_scores.T @ o
         grad_trans += g_trans
-    if used == 0:
-        raise EmptyBatchError("every sequence in the batch was skipped; loss undefined")
     theta = params.flatten()
     loss += l2 * float(theta @ theta)
     return loss, ModelParams(grad_state, grad_trans).flatten() + 2.0 * l2 * theta

@@ -1,8 +1,10 @@
 """Test oracles: exact answers by enumeration or by identities the fast
-code does not use, and the measured gap between the local and exact
+code does not use, frame-by-frame loops that the stacked recursions must
+equal bit for bit, and the measured gap between the local and exact
 gradient modes."""
 import numpy as np
 
+from seqcrf.ctc import augment_with_blanks
 from seqcrf.features import ModelParams
 from seqcrf.trainer import _random_instance, ctc_ldcrf_loss_and_grad
 
@@ -41,6 +43,53 @@ def brute_force_posteriors(node_scores, trans_weights):
         flat = paths[:, j] * h + paths[:, j + 1]
         edge[j] = np.bincount(flat, weights=w, minlength=h * h).reshape(h, h)
     return log_z, node, edge
+
+
+def loop_lattice(q, z, blank):
+    """(log_alpha, log_beta, log_prob) of one alignment lattice, one frame
+    and one direction at a time; beta is alpha over the reversed lattice."""
+    aug = augment_with_blanks(z, blank)
+    with np.errstate(divide="ignore"):
+        emit = np.log(np.asarray(q, dtype=np.float64))[:, aug]
+    skip = np.where((aug[2:] != blank) & (aug[2:] != aug[:-2]), 0.0, -np.inf)
+
+    def forward(emit, skip):
+        out = np.full(emit.shape, -np.inf)
+        out[0, :2] = 0.0
+        for j in range(len(emit) - 1):
+            v = out[j] + emit[j]
+            acc = v.copy()
+            acc[1:] = np.logaddexp(acc[1:], v[:-1])
+            acc[2:] = np.logaddexp(acc[2:], v[:-2] + skip)
+            out[j + 1] = acc
+        return out
+
+    log_alpha = emit + forward(emit, skip)
+    log_beta = forward(emit[::-1, ::-1], skip[::-1])[::-1, ::-1]
+    return log_alpha, log_beta, float(np.logaddexp.reduce(log_alpha[-1, -2:]))
+
+
+def loop_adjoint(scores, trans, upstream, post):
+    """fb_adjoint's two reverse sweeps for one table, one frame at a time,
+    as vector-matrix products of 1-D vectors."""
+    marg = post.node_marginals
+    weighted = upstream * marg
+    r = np.exp(trans + (scores[1:] + post.log_beta[1:])[:, None, :] - post.log_beta[:-1, :, None])
+    carry = np.empty(scores.shape)
+    carry[0] = 0.0
+    for j in range(len(scores) - 1):
+        carry[j + 1] = (carry[j] + weighted[j]) @ r[j]
+    grad_trans = np.einsum("ja,jab->ab", weighted[:-1] + carry[:-1], r)
+    q = np.exp(post.log_alpha[:-1, :, None] + trans
+               - (post.log_alpha[1:] - scores[1:])[:, None, :])
+    weighted[-1] -= float(np.sum(weighted)) * marg[-1]
+    back = np.empty(scores.shape)
+    back[0] = -0.0
+    for j in range(len(scores) - 1):
+        back[j + 1] = q[-1 - j] @ (back[j] + weighted[-1 - j])
+    alpha_bar = weighted + back[::-1]
+    grad_trans += np.einsum("jab,jb->ab", q, alpha_bar[1:])
+    return carry + alpha_bar, grad_trans
 
 
 def frame_posterior_check(tables):

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import seqcrf.chain as chain_mod
-from oracles import brute_force_posteriors, lse
+from oracles import brute_force_posteriors, loop_adjoint, lse
 from seqcrf.chain import (
     fb_adjoint,
+    fb_adjoint_batch,
     forward_backward,
     forward_backward_batch,
     masked_forward_backward,
@@ -414,6 +415,26 @@ class TestAdjoint:
             fb_adjoint(scores, trans, np.zeros((2, 2)), post)
         with pytest.raises(ValueError):
             fb_adjoint(scores, trans, np.zeros((3, 2)), forward_backward(scores[:2], trans))
+
+    @pytest.mark.parametrize("cells", [1, None], ids=["cap1", "default"])
+    def test_batch_equals_one_table_calls_bit_for_bit(self, monkeypatch, cells):
+        # and both equal the frame-by-frame loop of 1-D vector products
+        if cells is not None:
+            monkeypatch.setattr(chain_mod, "_ADJOINT_CELLS", cells)
+        rng = np.random.default_rng(43)
+        for h in (1, 5, 14):
+            tables, _ = random_tables(rng, h, 9, masked=False)
+            tables[1], tables[6] = tables[1][:1], tables[6][:1]  # T = 1
+            trans = rng.normal(size=(h, h))
+            upstreams = [rng.normal(size=scores.shape) for scores in tables]
+            posts = list(forward_backward_batch(tables, trans))
+            batch = list(fb_adjoint_batch(tables, trans, upstreams, posts))
+            assert len(batch) == len(tables)
+            for got, scores, upstream, post in zip(batch, tables, upstreams, posts):
+                one = fb_adjoint(scores, trans, upstream, post)
+                loop = loop_adjoint(scores, trans, upstream, post)
+                for k in range(2):
+                    assert np.array_equal(got[k], one[k]) and np.array_equal(got[k], loop[k])
 
     def test_rejects_masked_posteriors(self):
         # a masked pass has -inf messages, which would turn the sweeps'

@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from oracles import frame_posterior_check
+import seqcrf.ctc as ctc_mod
+from oracles import frame_posterior_check, loop_lattice
 from seqcrf.ctc import (
     CtcInfeasibleError,
     augment_with_blanks,
     best_path_decode,
     ctc_error_table,
     ctc_forward_backward,
+    ctc_forward_backward_batch,
     min_frames_required,
 )
 from seqcrf.seqdata import collapse
@@ -129,6 +131,77 @@ class TestForwardBackward:
             ctc_forward_backward(q, [5], blank_id=2)
         with pytest.raises(ValueError):
             ctc_forward_backward(np.array([[0.5, -0.5]]), [0], blank_id=1)
+
+
+def lattice_pairs(rng, num_labels=4):
+    """(q, z) pairs of mixed T and target length, each feasible: an empty
+    target, a one-label one, a repeat that fits only with its blank bridge,
+    a target with no mass, then random ones."""
+    blank = num_labels - 1
+    no_mass = random_q(rng, 6, num_labels)
+    no_mass[:, 1] = 0.0
+    pairs = [(random_q(rng, 4, num_labels), []), (random_q(rng, 2, num_labels), [2]),
+             (random_q(rng, 3, num_labels), [1, 1]), (no_mass, [0, 1])]
+    for _ in range(8):
+        z = [int(a) for a in rng.integers(0, blank, size=int(rng.integers(0, 6)))]
+        pairs.append((random_q(rng, min_frames_required(z) + int(rng.integers(1, 40)),
+                                num_labels), z))
+    return pairs
+
+
+class TestBatch:
+    """Each row of the stacked lattice is its one-sequence lattice, bit for
+    bit, and both are the frame-by-frame loop."""
+
+    @pytest.mark.parametrize("cells", [1, None], ids=["cap1", "default"])
+    def test_equals_one_sequence_calls_bit_for_bit(self, monkeypatch, cells):
+        if cells is not None:
+            monkeypatch.setattr(ctc_mod, "_LATTICE_CELLS", cells)
+        rng = np.random.default_rng(52)
+        pairs = lattice_pairs(rng)
+        empties = [(random_q(rng, t, 4), []) for t in (1, 5, 3)]  # S_max 1: no skip vector
+        for group in (pairs, pairs[::-1], empties):
+            batch = list(ctc_forward_backward_batch([q for q, _ in group],
+                                                    [z for _, z in group], blank_id=3))
+            assert len(batch) == len(group)
+            for got, (q, z) in zip(batch, group):
+                one = ctc_forward_backward(q, z, blank_id=3)
+                log_alpha, log_beta, log_prob = loop_lattice(q, z, blank=3)
+                assert got.log_prob == one.log_prob == log_prob
+                assert np.array_equal(got.augmented, one.augmented)
+                for field, loop in (("log_alpha", log_alpha), ("log_beta", log_beta)):
+                    assert np.array_equal(getattr(got, field), getattr(one, field)), field
+                    assert np.array_equal(getattr(got, field), loop), field
+        assert batch[0].log_alpha.shape == (1, 1)
+        assert ctc_forward_backward(*pairs[3], blank_id=3).log_prob == -math.inf
+
+    @pytest.mark.parametrize("row", [0, 2, 5])
+    @pytest.mark.parametrize("fault, error, message", [
+        ("nan-q", ValueError, "q must be finite and nonnegative"),
+        ("negative-q", ValueError, "q must be finite and nonnegative"),
+        ("blank-in-target", ValueError, "may not contain the blank"),
+        ("label-out-of-range", ValueError, "out of range"),
+        ("infeasible", CtcInfeasibleError, "needs at least 3 frames, have 2"),
+    ])
+    def test_any_row_raises_the_one_sequence_error(self, row, fault, error, message):
+        rng = np.random.default_rng(53)
+        pairs = lattice_pairs(rng)[4:10]
+        q, z = pairs[row]
+        if fault == "nan-q":
+            q[-1, 0] = np.nan
+        elif fault == "negative-q":
+            q[0, 1] = -0.25
+        elif fault == "blank-in-target":
+            z = [0, 3]
+        elif fault == "label-out-of-range":
+            z = [4]
+        else:
+            q, z = random_q(rng, 2, 4), [1, 1]
+        pairs[row] = (q, z)
+        with pytest.raises(error, match=message):
+            ctc_forward_backward(q, z, blank_id=3)
+        with pytest.raises(error, match=message):
+            list(ctc_forward_backward_batch([q for q, _ in pairs], [z for _, z in pairs], 3))
 
 
 class TestErrorTable:

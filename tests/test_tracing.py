@@ -15,6 +15,7 @@ import numpy as np
 import seqcrf
 import seqcrf.chain as chain_mod
 import seqcrf.cli as cli_mod
+import seqcrf.ctc as ctc_mod
 from seqcrf.seqdata import GeneratorConfig, generate_synthetic, save_dataset
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -50,8 +51,13 @@ def test_every_traced_name_resolves_and_is_counted(tmp_path, monkeypatch):
         seqcrf.label_marginals(seq, *args)
         seqcrf.decode_frames_viterbi(seq, *args)
         scores = seqcrf.node_scores(seq, checkpoint.params, checkpoint.feature_config)
-        chain_mod.masked_forward_backward(scores, checkpoint.params.trans_weights,
-                                          np.ones(scores.shape, dtype=bool))
+        trans = checkpoint.params.trans_weights
+        chain_mod.masked_forward_backward(scores, trans, np.ones(scores.shape, dtype=bool))
+        # training runs the lattice and the adjoint only through their batch
+        # forms, so the one-sequence names are called here
+        post = chain_mod.forward_backward(scores, trans)
+        chain_mod.fb_adjoint(scores, trans, np.ones(scores.shape), post)
+        ctc_mod.ctc_forward_backward(np.full((len(scores), 3), 1.0 / 3), [0], blank_id=2)
         checkpoint.save(model)
         assert cli_mod.main(["decode", "--data", str(data), "--model", str(model),
                              "--out", str(decoded)]) == 0

@@ -109,6 +109,38 @@ class TestCompositeLoss:
         loss_solo, _ = ctc_ldcrf_loss_and_grad([good], params, hidden_map, config, blank_id=1)
         assert loss_pair == pytest.approx(loss_solo)
 
+    def test_zero_mass_sequence_skipped_in_batch_order(self, caplog, monkeypatch):
+        rng = np.random.default_rng(6)
+        hidden_map = HiddenStateMap(3, 2)
+        config = FeatureConfig(input_dim=2, window=0)
+        params = ModelParams.random_init(6, config.obs_dim, seed=3, scale=0.5)
+        good = Sequence(id="good", frames=rng.normal(size=(6, 2)), label_seq=[0, 1])
+        no_mass = Sequence(id="no_mass", frames=rng.normal(size=(5, 2)), label_seq=[1])
+        bad = Sequence(id="bad", frames=rng.normal(size=(2, 2)), label_seq=[0, 0])
+        real = trainer_mod.frame_label_marginals
+
+        def zero_target_column(post, hmap):
+            q = real(post, hmap)
+            if len(q) == no_mass.num_frames:
+                q[:, 1] = 0.0  # no alignment of [1] keeps any mass
+            return q
+
+        monkeypatch.setattr(trainer_mod, "frame_label_marginals", zero_target_column)
+        with caplog.at_level(logging.WARNING, logger="seqcrf.trainer"):
+            loss, grad = ctc_ldcrf_loss_and_grad(
+                [good, no_mass, bad], params, hidden_map, config, blank_id=2, l2=1e-3
+            )
+        assert [r.getMessage() for r in caplog.records] == [
+            "sequence no_mass skipped: alignment mass underflowed to zero",
+            "sequence bad skipped: target of length 2 needs at least 3 frames, have 2",
+        ]
+        monkeypatch.undo()
+        loss_without, grad_without = ctc_ldcrf_loss_and_grad(
+            [good, bad], params, hidden_map, config, blank_id=2, l2=1e-3
+        )
+        assert loss == loss_without
+        assert np.array_equal(grad, grad_without)
+
     def test_all_skipped_raises_empty_batch(self):
         bad = Sequence(id="bad", frames=np.zeros((2, 2)), label_seq=[0, 0])
         hidden_map = HiddenStateMap(2, 1)
