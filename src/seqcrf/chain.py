@@ -31,7 +31,7 @@ import numpy as np
 
 
 _PASS_CELLS = 1 << 15  # B * T_max * H cells one stacked pass holds at most
-_ADJOINT_CELLS = 1 << 18  # B * T_max * H * H cells one stacked adjoint holds at most
+_ADJOINT_CELLS = 1 << 20  # r and q cells, stacked and per item, one stacked adjoint holds at most
 
 
 @dataclass
@@ -256,10 +256,9 @@ def viterbi(node_scores: np.ndarray, trans_weights: np.ndarray) -> tuple[np.ndar
 
 def _sweep_inputs(scores: np.ndarray, trans: np.ndarray, upstream: np.ndarray,
                   posteriors: ChainPosteriors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One item's (weighted, r, q) for the adjoint's sweeps, whose softmax
-    weights r[j, a, b] = P(h_{j+1}=b | h_j=a) and q[j-1, a, b] =
-    P(h_{j-1}=a | h_j=b, frames 0..j) cannot underflow: each is one exp of
-    differences of log messages."""
+    """One item's (weighted, r, q) for the adjoint's sweeps.  The softmax weights
+    r[j, a, b] = P(h_{j+1}=b | h_j=a) and q[j-1, a, b] = P(h_{j-1}=a | h_j=b,
+    frames 0..j) cannot underflow: each is one exp of differences of log messages."""
     scores = _finite("node_scores", scores)
     upstream = _finite("grad_node_marginals", upstream)
     if upstream.shape != scores.shape:
@@ -283,14 +282,14 @@ def fb_adjoint_batch(
     posteriors: Iterable[ChainPosteriors],
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """``fb_adjoint`` of each item in turn, each bit for bit what a call on
-    that item alone gives.  A stack of at most _ADJOINT_CELLS cells of
-    B * T_max * H * H runs both sweeps of its items, zero-padded, in one
-    frame loop, each product its item's own (1, H) @ (H, H) or (H, H) @
-    (H, 1) matmul: the forms that give ``v @ r`` and ``q @ v`` bit for bit."""
+    that item alone gives.  A stack (its r and q, stacked and per item, hold
+    4 * B * T_max * H * H <= _ADJOINT_CELLS cells) runs both sweeps in one
+    frame loop, each product its item's own (1, H) @ (H, H) or (H, H) @ (H, 1)
+    matmul: the forms that give ``v @ r`` and ``q @ v`` bit for bit."""
     trans = _finite("trans_weights", trans_weights)
     items = (_sweep_inputs(scores, trans, upstream, post) for scores, upstream, post
              in zip(node_scores, grad_node_marginals, posteriors, strict=True))
-    for group in stacks(items, lambda item: (len(item[0]), *trans.shape), _ADJOINT_CELLS):
+    for group in stacks(items, lambda item: (4, len(item[0]), *trans.shape), _ADJOINT_CELLS):
         t_max, rows = max(len(w) for w, _, _ in group), len(group)
         # out[j + 1] holds the sweeps' inputs at step j until the step replaces them
         out = np.zeros((t_max, 2, rows, len(trans)))

@@ -19,7 +19,7 @@ from .chain import stacks
 from .seqdata import collapse
 
 Q_FLOOR = 1e-300
-_LATTICE_CELLS = 1 << 16  # B * T_max * S_max cells one stacked lattice holds at most
+_LATTICE_CELLS = 1 << 17  # cells of the (T_max, 2B, S_max) scan of one stacked lattice, at most
 
 
 class CtcInfeasibleError(ValueError):
@@ -86,13 +86,13 @@ def ctc_forward_backward_batch(
     qs: Iterable[np.ndarray], targets: Iterable[SequenceT[int]], blank_id: int
 ) -> Iterator[CtcTables]:
     """The lattice of each (q, z) pair in turn, each bit for bit what
-    ``ctc_forward_backward`` gives for that pair alone; a bad pair raises that
-    call's error as it is drawn.  A stack of at most _LATTICE_CELLS cells of
-    B * T_max * S_max is one scan, padded with -inf, whose row b is pair b's
-    alpha and row B + b its beta, alpha over the reversed target's lattice.  A
-    step is elementwise and reads only lower positions, so padding reaches no row."""
+    ``ctc_forward_backward`` gives for that pair alone, a bad pair raising its
+    error as its stack is drawn.  A stack is one (T_max, 2B, S_max) scan of at
+    most _LATTICE_CELLS cells, padded with -inf: row b is pair b's alpha, row
+    B + b its beta (alpha over the reversed target).  A step is elementwise
+    and reads only lower positions, so padding reaches no row."""
     items = (_lattice_inputs(q, z, blank_id) for q, z in zip(qs, targets, strict=True))
-    for group in stacks(items, lambda item: item[1].shape, _LATTICE_CELLS):
+    for group in stacks(items, lambda item: (2, *item[1].shape), _LATTICE_CELLS):
         rows, (t_max, s_max) = len(group), np.max([emit.shape for _, emit, _ in group], axis=0)
         # out[j + 1] holds frame j's emissions until step j adds them in
         out = np.full((t_max, 2 * rows, s_max), -np.inf)

@@ -233,16 +233,15 @@ def ctc_ldcrf_loss_and_grad(
     grad_state = np.zeros_like(params.state_weights)
     grad_trans = np.zeros_like(params.trans_weights)
     owner = hidden_map.state_owner()
-    # infeasible targets stay out of the lattice stack; warnings keep batch order
-    infeasible = []
-    for seq in batch:
+    # bad and infeasible targets stay out of the lattice stack, in batch order
+    rejected: list[ValueError | None] = [None] * len(batch)
+    for i, seq in enumerate(batch):
         if seq.label_seq is None:
             raise ValueError(f"sequence {seq.id!r} has no label_seq")
         try:
             check_target(seq.label_seq, seq.num_frames, hidden_map.num_labels, blank_id)
-            infeasible.append(None)
-        except CtcInfeasibleError as exc:
-            infeasible.append(exc)
+        except ValueError as exc:  # CtcInfeasibleError included
+            rejected[i] = exc
     obs = [observation_matrix(seq, feature_config) for seq in batch]
     scores = [o @ params.state_weights.T for o in obs]
     posts = forward_backward_batch(scores, params.trans_weights)
@@ -256,13 +255,15 @@ def ctc_ldcrf_loss_and_grad(
         scale = np.ones(hidden_map.num_labels)
     q_norms = [q * scale for *_, q in forward]
     lattices = ctc_forward_backward_batch(
-        [q for q, exc in zip(q_norms, infeasible) if exc is None],
-        [seq.label_seq for seq, exc in zip(batch, infeasible) if exc is None], blank_id)
+        [q for q, exc in zip(q_norms, rejected) if exc is None],
+        [seq.label_seq for seq, exc in zip(batch, rejected) if exc is None], blank_id)
     loss, used = 0.0, []
-    for (seq, obs, scores, post, _), q_norm, exc in zip(forward, q_norms, infeasible):
-        if exc is not None:
+    for (seq, obs, scores, post, _), q_norm, exc in zip(forward, q_norms, rejected):
+        if isinstance(exc, CtcInfeasibleError):
             logger.warning("sequence %s skipped: %s", seq.id, exc)
             continue
+        if exc is not None:
+            raise exc
         tables = next(lattices)
         if not np.isfinite(tables.log_prob):
             logger.warning("sequence %s skipped: alignment mass underflowed to zero", seq.id)

@@ -141,6 +141,23 @@ class TestCompositeLoss:
         assert loss == loss_without
         assert np.array_equal(grad, grad_without)
 
+    def test_bad_target_raises_in_batch_order(self, caplog):
+        rng = np.random.default_rng(7)
+        hidden_map = HiddenStateMap(2, 1)
+        config = FeatureConfig(input_dim=2, window=0)
+        params = ModelParams.random_init(2, config.obs_dim, seed=0)
+        short = Sequence(id="short", frames=rng.normal(size=(2, 2)), label_seq=[0, 0])
+        blank = Sequence(id="blank", frames=rng.normal(size=(4, 2)), label_seq=[1])
+        late = Sequence(id="late", frames=rng.normal(size=(2, 2)), label_seq=[0, 0])
+        with caplog.at_level(logging.WARNING, logger="seqcrf.trainer"):
+            with pytest.raises(ValueError, match="may not contain the blank"):
+                ctc_ldcrf_loss_and_grad([short, blank, late], params, hidden_map, config,
+                                        blank_id=1)
+        # the skip before the bad target is logged, the one after it is not
+        assert [r.getMessage() for r in caplog.records] == [
+            "sequence short skipped: target of length 2 needs at least 3 frames, have 2",
+        ]
+
     def test_all_skipped_raises_empty_batch(self):
         bad = Sequence(id="bad", frames=np.zeros((2, 2)), label_seq=[0, 0])
         hidden_map = HiddenStateMap(2, 1)
