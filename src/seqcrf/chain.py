@@ -3,8 +3,8 @@
 The chain distribution is Gibbs: P(h | x) proportional to
 exp(sum_j score[j, h_j] + sum_j trans[h_j, h_{j+1}]), with one shared
 transition matrix across all adjacent pairs.  ``forward_backward_batch``
-stacks the score tables of a whole dataset or batch, at most
-``_PASS_CELLS`` cells a pass, and runs each stack's forward and backward
+stacks the score tables of a whole dataset or batch, each pass within the
+one budget of ``stacks``, and runs each stack's forward and backward
 messages as two rows of one scan, so a frame pays numpy dispatch once per
 pass.  The scan carries probabilities rescaled to unit sum every frame
 (Rabiner 1989); a table whose scaled messages under- or overflow, as
@@ -30,8 +30,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 
-_PASS_CELLS = 1 << 15  # B * T_max * H cells one stacked pass holds at most
-_ADJOINT_CELLS = 1 << 20  # r and q cells, stacked and per item, one stacked adjoint holds at most
+_STACK_CELLS = 1 << 18  # float64 cells the arrays of one stack hold at most: 2 MiB
 
 
 @dataclass
@@ -66,20 +65,20 @@ def _logsumexp(x: np.ndarray, axis: int | None = None) -> np.ndarray:
 
 def scan(first, inputs: np.ndarray, step) -> np.ndarray:
     """The frame loop of every recursion: out[0] = first and
-    out[j] = step(j - 1, out[j - 1] + inputs[j - 1]); inputs[-1] is never
-    read.  A backward recursion is the scan over reversed inputs."""
+    out[j] = step(out[j - 1] + inputs[j - 1]); inputs[-1] is never read.
+    A backward recursion is the scan over reversed inputs."""
     out = np.empty(inputs.shape)
     out[0] = prev = first
     for j, x in enumerate(inputs[:-1]):
-        out[j + 1] = prev = step(j, prev + x)
+        out[j + 1] = prev = step(prev + x)
     return out
 
 
 def _log_messages(scores: np.ndarray, trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``_scaled_messages`` of one table in the log domain, its fallback.
     The forward scan starts at -0.0 because x + -0.0 is x bit for bit."""
-    fwd = scan(-0.0, scores, lambda _, v: _logsumexp(v[:, None] + trans, axis=0))
-    bwd = scan(0.0, scores[::-1], lambda _, v: _logsumexp(trans + v[None, :], axis=1))
+    fwd = scan(-0.0, scores, lambda v: _logsumexp(v[:, None] + trans, axis=0))
+    bwd = scan(0.0, scores[::-1], lambda v: _logsumexp(trans + v[None, :], axis=1))
     return fwd, bwd
 
 
@@ -129,14 +128,14 @@ def _scaled_messages(tables: list[np.ndarray], trans: np.ndarray, scratch: list)
     return out
 
 
-def stacks(items: Iterable, shape, cap: int) -> Iterator[list]:
-    """``items`` in runs of at most ``cap`` cells: a run's length times the
-    product of the largest extents of ``shape(item)``.  An item over ``cap``
-    runs alone; a run is yielded before the next item is drawn."""
+def stacks(items: Iterable, shape) -> Iterator[list]:
+    """``items`` in runs whose stacks allocate at most ``_STACK_CELLS`` cells, the budget of
+    every stacked recursion: a run's length times the product of the largest extents of
+    ``shape(item)``.  An item over it runs alone; a run is yielded before the next is drawn."""
     run, top = [], ()
     for item in items:
         dims = shape(item)
-        if run and (len(run) + 1) * math.prod(map(max, top, dims)) > cap:
+        if run and (len(run) + 1) * math.prod(map(max, top, dims)) > _STACK_CELLS:
             yield run
             run = []
         top = tuple(map(max, top, dims)) if run else dims
@@ -193,17 +192,17 @@ def forward_backward_batch(
     states get zero marginal mass exactly, and log_z is the log partition
     of the restricted chain.  The tables of a pass are stacked time-major,
     zero-padded past their ends, and each pass is one ``_scaled_messages``
-    scan.  A pass holds at most _PASS_CELLS cells of B * T_max * H (a
-    longer table is a pass of its own).  Its messages live until the last
-    of its posteriors is dropped; the scratch that holds its inputs is
-    allocated once per call and reused by every pass.
+    scan, whose inputs and messages, each (T_max, 2, B, H), count against
+    ``_STACK_CELLS`` (a longer table is a pass of its own).  Its messages
+    live until the last of its posteriors is dropped; the scratch that
+    holds its inputs is allocated once per call and reused by every pass.
     FloatingPointError unless every marginal row sums to 1 within 1e-6.
     """
     trans = _finite("trans_weights", trans_weights)
     scratch = [np.empty(0)]
     masks = itertools.repeat(None) if allowed is None else allowed
     tables = itertools.starmap(_table, zip(node_scores, masks, strict=allowed is not None))
-    for group in stacks(tables, np.shape, _PASS_CELLS):
+    for group in stacks(tables, lambda scores: (4, *scores.shape)):
         yield from _pass(group, trans, scratch)
 
 
@@ -241,7 +240,7 @@ def viterbi(node_scores: np.ndarray, trans_weights: np.ndarray) -> tuple[np.ndar
     node_scores = _finite("node_scores", node_scores)
     trans_weights = _finite("trans_weights", trans_weights)
     delta = node_scores + scan(
-        -0.0, node_scores, lambda _, v: np.maximum.reduce(v[:, None] + trans_weights, axis=0)
+        -0.0, node_scores, lambda v: np.maximum.reduce(v[:, None] + trans_weights, axis=0)
     )
     # back[j, b]: best state at frame j given state b at frame j+1; argmax
     # takes the first index on ties
@@ -283,13 +282,13 @@ def fb_adjoint_batch(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """``fb_adjoint`` of each item in turn, each bit for bit what a call on
     that item alone gives.  A stack (its r and q, stacked and per item, hold
-    4 * B * T_max * H * H <= _ADJOINT_CELLS cells) runs both sweeps in one
+    4 * B * T_max * H * H <= _STACK_CELLS cells) runs both sweeps in one
     frame loop, each product its item's own (1, H) @ (H, H) or (H, H) @ (H, 1)
     matmul: the forms that give ``v @ r`` and ``q @ v`` bit for bit."""
     trans = _finite("trans_weights", trans_weights)
     items = (_sweep_inputs(scores, trans, upstream, post) for scores, upstream, post
              in zip(node_scores, grad_node_marginals, posteriors, strict=True))
-    for group in stacks(items, lambda item: (4, len(item[0]), *trans.shape), _ADJOINT_CELLS):
+    for group in stacks(items, lambda item: (4, len(item[0]), *trans.shape)):
         t_max, rows = max(len(w) for w, _, _ in group), len(group)
         # out[j + 1] holds the sweeps' inputs at step j until the step replaces them
         out = np.zeros((t_max, 2, rows, len(trans)))

@@ -269,6 +269,8 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DatasetFormatError(f"{path}: line {lineno}: {exc}") from None
+            if not isinstance(obj, dict):
+                raise DatasetFormatError(f"{path}: line {lineno}: expected a JSON object")
             if label_set is None:
                 label_set, dim, meta = _parse_header(obj, path)
                 continue

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import seqcrf.chain as chain_mod
+import seqcrf.ctc as ctc_mod
 from oracles import brute_force_posteriors, loop_adjoint, lse
 from seqcrf.chain import (
     fb_adjoint,
@@ -14,9 +15,11 @@ from seqcrf.chain import (
     forward_backward,
     forward_backward_batch,
     masked_forward_backward,
+    stacks,
     transition_counts,
     viterbi,
 )
+from seqcrf.ctc import ctc_forward_backward_batch
 
 
 def path_score(path, scores, trans):
@@ -185,11 +188,11 @@ def random_tables(rng, h, count, masked):
 
 class TestBatch:
     @pytest.mark.parametrize("masked", [False, True], ids=["free", "masked"])
-    @pytest.mark.parametrize("cells", [1, 64, None], ids=["cap1", "cap64", "default"])
+    @pytest.mark.parametrize("cells", [1, 256, None], ids=["cap1", "cap256", "default"])
     def test_equals_one_table_calls_bit_for_bit(self, monkeypatch, cells, masked):
         # a one-table call is a pass of its own at any cap
         if cells is not None:
-            monkeypatch.setattr(chain_mod, "_PASS_CELLS", cells)
+            monkeypatch.setattr(chain_mod, "_STACK_CELLS", cells)
         rng = np.random.default_rng(31)
         for h in (1, 5, 14):
             tables, masks = random_tables(rng, h, 12, masked)
@@ -222,6 +225,58 @@ class TestBatch:
             masks[row][len(masks[row]) // 2] = False
         with pytest.raises(ValueError, match=message):
             list(forward_backward_batch(tables, np.zeros((4, 4)), masks))
+
+
+class TestStacks:
+    def test_runs_keep_order_and_budget(self, monkeypatch):
+        monkeypatch.setattr(chain_mod, "_STACK_CELLS", 64)
+        rng = np.random.default_rng(33)
+        dims = [tuple(int(d) for d in rng.integers(1, 12, size=2)) for _ in range(300)]
+        assert any(math.prod(d) > 64 for d in dims)
+        drawn = []
+
+        def items():
+            for k in range(len(dims)):
+                drawn.append(k)
+                yield k
+
+        runs = []
+        for run in stacks(items(), dims.__getitem__):
+            # at most the item that did not fit has been drawn past the run
+            assert drawn == list(range(min(run[-1] + 2, len(dims))))
+            runs.append(run)
+        assert [k for run in runs for k in run] == list(range(len(dims)))
+        for run, after in zip(runs, runs[1:] + [None]):
+            top = np.max([dims[k] for k in run], axis=0)
+            assert len(run) == 1 or len(run) * math.prod(top) <= 64
+            if after is not None:  # a run closes only when its next item would overflow it
+                top = np.maximum(top, dims[after[0]])
+                assert (len(run) + 1) * math.prod(top) > 64
+        oversize = [k for k, d in enumerate(dims) if math.prod(d) > 64]
+        assert all([k] in runs for k in oversize)
+
+    @pytest.mark.parametrize("cells, runs", [(1, [1, 1, 1]), (None, [3])],
+                             ids=["cap1", "default"])
+    def test_one_budget_groups_every_recursion(self, monkeypatch, cells, runs):
+        if cells is not None:
+            monkeypatch.setattr(chain_mod, "_STACK_CELLS", cells)
+        seen = []
+
+        def counted(items, shape):
+            for run in stacks(items, shape):
+                seen.append(len(run))
+                yield run
+
+        monkeypatch.setattr(chain_mod, "stacks", counted)
+        monkeypatch.setattr(ctc_mod, "stacks", counted)
+        rng = np.random.default_rng(34)
+        tables = [rng.normal(size=(t, 3)) for t in (4, 6, 5)]
+        trans = rng.normal(size=(3, 3))
+        posts = list(forward_backward_batch(tables, trans))
+        list(fb_adjoint_batch(tables, trans, [np.ones(s.shape) for s in tables], posts))
+        qs = [rng.dirichlet(np.ones(3), size=len(s)) for s in tables]
+        list(ctc_forward_backward_batch(qs, [[0], [1, 0], [1]], blank_id=2))
+        assert seen == runs * 3
 
 
 @pytest.fixture
@@ -420,7 +475,7 @@ class TestAdjoint:
     def test_batch_equals_one_table_calls_bit_for_bit(self, monkeypatch, cells):
         # and both equal the frame-by-frame loop of 1-D vector products
         if cells is not None:
-            monkeypatch.setattr(chain_mod, "_ADJOINT_CELLS", cells)
+            monkeypatch.setattr(chain_mod, "_STACK_CELLS", cells)
         rng = np.random.default_rng(43)
         for h in (1, 5, 14):
             tables, _ = random_tables(rng, h, 9, masked=False)

@@ -17,7 +17,7 @@ from seqcrf.cli import (
     main,
 )
 from seqcrf.features import Checkpoint
-from seqcrf.seqdata import load_dataset
+from seqcrf.seqdata import DatasetFormatError, load_dataset
 
 
 def run(*argv):
@@ -300,6 +300,30 @@ class TestTrain:
                "frame_labels": [names[0]] * 2 + [names[1]] * 2, "label_seq": names, **change}
         data = tmp_path / "data.jsonl"
         data.write_text(json.dumps(head) + "\n" + json.dumps(seq) + "\n")
+        code = run("train", "--data", str(data), "--out", str(tmp_path / "m.json"),
+                   "--mode", "frame_wise", "--epochs", "1")
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("lines, bad", [
+        (["5"], 1),
+        (['"labels dim"'], 1),
+        (["null", '{"id": "s0", "frames": [[0.0]]}'], 1),
+        (['{"labels": ["A"], "dim": 1}', "7"], 2),
+        (['{"labels": ["A"], "dim": 1}', '["id", "frames"]'], 2),
+        (['{"labels": ["A"], "dim": 1}', '{"id": "s0", "frames": [[0.0]]}', '"s1"'], 3),
+    ], ids=["header-number", "header-string", "header-null", "sequence-number",
+            "sequence-array", "third-line-string"])
+    @pytest.mark.parametrize("entry", ["api", "cli"])
+    def test_non_object_line_is_io_error(self, tmp_path, capsys, lines, bad, entry):
+        data = tmp_path / "data.jsonl"
+        data.write_text("\n".join(lines) + "\n")
+        message = f"line {bad}: expected a JSON object"
+        if entry == "api":
+            with pytest.raises(DatasetFormatError, match=message):
+                load_dataset(data)
+            return
         code = run("train", "--data", str(data), "--out", str(tmp_path / "m.json"),
                    "--mode", "frame_wise", "--epochs", "1")
         assert code == EXIT_IO

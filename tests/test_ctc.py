@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-import seqcrf.ctc as ctc_mod
+import seqcrf.chain as chain_mod
 from oracles import frame_posterior_check, loop_lattice
 from seqcrf.ctc import (
     CtcInfeasibleError,
@@ -156,7 +156,7 @@ class TestBatch:
     @pytest.mark.parametrize("cells", [1, None], ids=["cap1", "default"])
     def test_equals_one_sequence_calls_bit_for_bit(self, monkeypatch, cells):
         if cells is not None:
-            monkeypatch.setattr(ctc_mod, "_LATTICE_CELLS", cells)
+            monkeypatch.setattr(chain_mod, "_STACK_CELLS", cells)
         rng = np.random.default_rng(52)
         pairs = lattice_pairs(rng)
         empties = [(random_q(rng, t, 4), []) for t in (1, 5, 3)]  # S_max 1: no skip vector
