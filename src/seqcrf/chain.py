@@ -11,11 +11,13 @@ pass.  The scan carries probabilities rescaled to unit sum every frame
 score magnitudes in the hundreds can make them, is rerun alone in the log
 domain.  Each table's posteriors are bit for bit those of its own
 one-table pass, which is all ``forward_backward`` and
-``masked_forward_backward`` run.  The posteriors carry the log messages
-so that ``transition_counts`` and ``fb_adjoint`` reuse them; no per-frame
-(T-1, H, H) edge table is kept.  ``fb_adjoint_batch`` stacks a batch's
-adjoints in one frame loop.  The log-domain fallback and Viterbi's max
-are each one call to ``scan``; a backward one scans the reversed inputs.
+``masked_forward_backward`` run.  The posteriors view the pass's whole
+(T_max, B, H) arrays (``_stacked``, which the frame objective reads
+directly) and carry the log messages so that ``fb_adjoint`` reuses them;
+no per-frame (T-1, H, H) edge table is kept.  ``fb_adjoint_batch`` stacks
+a batch's adjoints in one frame loop.  The log-domain fallback and
+Viterbi's max are each one call to ``scan``; a backward one scans the
+reversed inputs.
 
 Conventions: trans[a, b] scores a transition from state a at position j
 to state b at position j+1.
@@ -52,7 +54,7 @@ class ChainPosteriors:
 def _finite(name: str, arr: np.ndarray) -> np.ndarray:
     """``arr`` as float64; raises ValueError unless every entry is finite."""
     arr = np.asarray(arr, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     return arr
 
@@ -60,7 +62,7 @@ def _finite(name: str, arr: np.ndarray) -> np.ndarray:
 def _logsumexp(x: np.ndarray, axis: int | None = None) -> np.ndarray:
     """Max-shifted log-sum-exp; each reduced slice needs one finite entry."""
     m = x.max(axis=axis, keepdims=True)
-    return np.log(np.exp(x - m).sum(axis=axis)) + np.squeeze(m, axis=axis)
+    return np.log(np.exp(x - m).sum(axis=axis)) + m.squeeze(axis=axis)
 
 
 def scan(first, inputs: np.ndarray, step) -> np.ndarray:
@@ -102,7 +104,7 @@ def _scaled_messages(tables: list[np.ndarray], trans: np.ndarray, scratch: list)
     for b, scores in enumerate(tables):
         x[:len(scores), 0, b] = scores
         x[:len(scores), 1, b] = scores[::-1]
-    m = np.stack([trans, trans.T])
+    m = np.array([trans, trans.T])
     cmx = m.max(axis=1)  # column maxima, carried into the next frame's input
     e = np.exp(m - cmx[:, None, :])[:, None]  # (2, 1, H, H), entries in (0, 1]
     msg = np.empty(x.shape)
@@ -114,11 +116,11 @@ def _scaled_messages(tables: list[np.ndarray], trans: np.ndarray, scratch: list)
         f = np.exp(np.subtract(x, xm, out=x), out=x)
         msg[0] = 1.0
         v0, u0 = v[:, :, 0], u[:, :, 0]
-        for j in range(t_max - 1):
-            np.multiply(msg[j], f[j], out=v0)
+        for msg_j, f_j, norm_next, msg_next in zip(msg, f, norm[1:], msg[1:]):
+            np.multiply(msg_j, f_j, out=v0)
             np.matmul(v, e, out=u)
-            np.add.reduce(u0, -1, keepdims=True, out=norm[j + 1])
-            np.divide(u0, norm[j + 1], out=msg[j + 1])
+            np.add.reduce(u0, -1, keepdims=True, out=norm_next)
+            np.divide(u0, norm_next, out=msg_next)
         np.log(norm[1:], out=norm[1:])
         norm[1:] += xm[:-1]
         norm[0] = 0.0
@@ -157,27 +159,37 @@ def _table(scores: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
     return np.where(mask, scores, -np.inf)
 
 
-def _pass(tables: list[np.ndarray], trans: np.ndarray, scratch: list) -> Iterator[ChainPosteriors]:
-    """One stacked pass over ``tables``, whose posteriors view its messages.
+def _stacked(tables: list[np.ndarray], trans: np.ndarray, scratch: list) -> tuple[np.ndarray, ...]:
+    """One pass over ``tables`` as whole arrays: log alpha, log beta and node
+    marginals, each (T_max, B, H), node zero past a table's end; and log Z.
 
-    A table with a non-finite scaled message is rerun alone by
-    ``_log_messages``, as its one-table pass is.  -inf scores are
-    tolerated while every frame keeps a finite one.  NaN marginals fail
-    the row-sum check too.
+    A table with a non-finite scaled message is rerun alone by ``_log_messages``,
+    as its one-table pass is.  -inf scores are tolerated while every frame keeps
+    a finite one.  FloatingPointError unless every marginal row sums to 1 within
+    1e-6; NaN marginals fail that check too.
     """
+    lengths, rows = np.array([len(table) for table in tables]), np.arange(len(tables))
+    frames = np.arange(max(map(len, tables)))[:, None]
+    live = frames < lengths  # (T_max, B)
     out = _scaled_messages(tables, trans, scratch)
-    finite = bool(np.isfinite(out).all())
-    for b, scores in enumerate(tables):
-        t = len(scores)
-        fwd, bwd = out[:t, 0, b], out[:t, 1, b]
-        if not (finite or np.isfinite(fwd).all() and np.isfinite(bwd).all()):
-            fwd, bwd = _log_messages(scores, trans)
-        alpha, beta = np.add(fwd, scores, out=fwd), bwd[::-1]
-        log_z = float(_logsumexp(alpha[-1]))
-        node = np.exp(alpha + beta - log_z)
-        if not np.all(np.abs(node.sum(axis=1) - 1.0) <= 1e-6):
-            raise FloatingPointError("chain marginals do not sum to one; scores overflow float64")
-        yield ChainPosteriors(log_z, node, scores, alpha, beta)
+    if not np.isfinite(out).all():
+        for b in np.flatnonzero(~(np.isfinite(out).all(axis=(1, 3)) | ~live).all(axis=0)):
+            out[:, :, b] = 0.0
+            out[:lengths[b], 0, b], out[:lengths[b], 1, b] = _log_messages(tables[b], trans)
+    for b, table in enumerate(tables):
+        out[:len(table), 0, b] += table  # the forward messages become log alpha
+    # frame j is row t - 1 - j of the backward scan; past a table's end the row
+    # index wraps around to a finite row, which only padding reads
+    out[:, 1] = out[lengths - 1 - frames, 1, rows]
+    alpha, beta = out[:, 0], out[:, 1]
+    log_z = _logsumexp(alpha[lengths - 1, rows], axis=-1)
+    node = alpha + beta
+    node -= log_z[:, None]
+    node[~live] = -np.inf
+    node = np.exp(node, out=node)
+    if not (np.abs(node.sum(axis=-1) - live) <= 1e-6).all():  # rows past an end sum to 0
+        raise FloatingPointError("chain marginals do not sum to one; scores overflow float64")
+    return alpha, beta, node, log_z
 
 
 def forward_backward_batch(
@@ -203,7 +215,10 @@ def forward_backward_batch(
     masks = itertools.repeat(None) if allowed is None else allowed
     tables = itertools.starmap(_table, zip(node_scores, masks, strict=allowed is not None))
     for group in stacks(tables, lambda scores: (4, *scores.shape)):
-        yield from _pass(group, trans, scratch)
+        alpha, beta, node, log_z = _stacked(group, trans, scratch)
+        for b, scores in enumerate(group):
+            t = len(scores)
+            yield ChainPosteriors(float(log_z[b]), node[:t, b], scores, alpha[:t, b], beta[:t, b])
 
 
 def forward_backward(node_scores: np.ndarray, trans_weights: np.ndarray) -> ChainPosteriors:

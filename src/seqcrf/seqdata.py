@@ -8,6 +8,7 @@ mention it.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -237,18 +238,19 @@ def collapse(labels: SequenceT[int], blank_id: int | None = None) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _parse_header(obj: dict, path: str) -> tuple[LabelSet, int, dict[str, str]]:
+def _parse_header(obj: dict, path: str, lineno: int) -> tuple[LabelSet, int, dict[str, str]]:
+    where = f"{path}: line {lineno}"
     if "labels" not in obj or "dim" not in obj:
-        raise DatasetFormatError(f"{path}: line 1: header must carry 'labels' and 'dim'")
+        raise DatasetFormatError(f"{where}: header must carry 'labels' and 'dim'")
     labels = obj["labels"]
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
-        raise DatasetFormatError(f"{path}: line 1: 'labels' must be an array of strings")
+        raise DatasetFormatError(f"{where}: 'labels' must be an array of strings")
     dim = obj["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise DatasetFormatError(f"{path}: line 1: 'dim' must be a positive integer")
+        raise DatasetFormatError(f"{where}: 'dim' must be a positive integer")
     meta = obj.get("meta", {})
     if not isinstance(meta, dict):
-        raise DatasetFormatError(f"{path}: line 1: 'meta' must be an object")
+        raise DatasetFormatError(f"{where}: 'meta' must be an object")
     meta = {str(k): str(v) for k, v in meta.items()}
     return LabelSet.from_names(labels), dim, meta
 
@@ -272,7 +274,7 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
             if not isinstance(obj, dict):
                 raise DatasetFormatError(f"{path}: line {lineno}: expected a JSON object")
             if label_set is None:
-                label_set, dim, meta = _parse_header(obj, path)
+                label_set, dim, meta = _parse_header(obj, path, lineno)
                 continue
             sequences.append(_parse_sequence(obj, label_set, dim, path, lineno))
     if label_set is None:
@@ -565,45 +567,38 @@ def make_folds(dataset: Dataset, k: int, seed: int) -> FoldPlan:
 # Metrics
 # ---------------------------------------------------------------------------
 
+Labelings = SequenceT[SequenceT[int]]  # one label id per frame, per sequence
 
-def frame_accuracy(
-    predicted: SequenceT[SequenceT[int]], truth: SequenceT[SequenceT[int]]
-) -> float:
-    """Percentage of frames labeled correctly, pooled over all sequences."""
+
+def _pooled(predicted: Labelings, truth: Labelings) -> tuple[np.ndarray, np.ndarray]:
+    """Predicted and true labels of aligned sequences, each concatenated."""
     if len(predicted) != len(truth):
-        raise ValueError(
-            f"{len(predicted)} predicted sequences vs {len(truth)} truth sequences"
-        )
-    correct = 0
-    total = 0
+        raise ValueError(f"{len(predicted)} predicted sequences vs {len(truth)} truth sequences")
     for i, (pred, true) in enumerate(zip(predicted, truth)):
         if len(pred) != len(true):
             raise ValueError(
-                f"sequence {i}: predicted length {len(pred)} != truth length {len(true)}"
-            )
-        correct += sum(int(p == t) for p, t in zip(pred, true))
-        total += len(true)
-    if total == 0:
+                f"sequence {i}: predicted length {len(pred)} != truth length {len(true)}")
+    flat = itertools.chain.from_iterable
+    return np.fromiter(flat(predicted), np.int64), np.fromiter(flat(truth), np.int64)
+
+
+def frame_accuracy(predicted: Labelings, truth: Labelings) -> float:
+    """Percentage of frames labeled correctly, pooled over all sequences."""
+    pred, true = _pooled(predicted, truth)
+    if true.size == 0:
         raise ValueError("no frames to score")
-    return 100.0 * correct / total
+    return 100.0 * int((pred == true).sum()) / true.size
 
 
-def confusion_matrix(
-    predicted: SequenceT[SequenceT[int]],
-    truth: SequenceT[SequenceT[int]],
-    num_labels: int,
-) -> np.ndarray:
+def confusion_matrix(predicted: Labelings, truth: Labelings, num_labels: int) -> np.ndarray:
     """Counts indexed [true label, predicted label]."""
-    out = np.zeros((num_labels, num_labels), dtype=np.int64)
-    for pred, true in zip(predicted, truth):
-        for p, t in zip(pred, true):
-            out[t, p] += 1
-    return out
+    pred, true = _pooled(predicted, truth)
+    cells = np.bincount(true * num_labels + pred, minlength=num_labels * num_labels)
+    return cells.reshape(num_labels, num_labels)
 
 
-def remap_blank_predictions(
-    labels: SequenceT[int], blank_id: int, policy: str = "previous"
-) -> list[int]:
+def remap_blank_predictions(labels: SequenceT[int], blank_id: int,
+                            policy: str = "previous") -> list[int]:
     """Replace blank predictions before frame-accuracy scoring.
 
     policy "previous": each blank takes the nearest preceding non-blank
@@ -611,18 +606,17 @@ def remap_blank_predictions(
     sequence maps to label 0.  policy "keep" leaves blanks in place (they
     then score as errors).
     """
+    labels = np.asarray(labels, dtype=np.int64)
     if policy == "keep":
-        return [int(a) for a in labels]
+        return labels.tolist()
     if policy != "previous":
         raise ValueError(f"unknown blank policy {policy!r}")
-    out = [int(a) for a in labels]
-    last = next((a for a in out if a != blank_id), 0)
-    for i, a in enumerate(out):
-        if a == blank_id:
-            out[i] = last
-        else:
-            last = a
-    return out
+    real = labels != blank_id
+    if not real.any():
+        return [0] * labels.size
+    # each frame takes the nearest non-blank frame at or before it, leading blanks the first
+    last = np.maximum.accumulate(np.where(real, np.arange(labels.size), real.argmax()))
+    return labels[last].tolist()
 
 
 def roc_curve(

@@ -548,7 +548,7 @@ def evaluate(
     for seq, q in marginals:
         if seq.frame_labels is None:
             raise ValueError(f"sequence {seq.id!r} has no frame_labels; cannot score")
-        pred = remap_blank_predictions(np.argmax(q, axis=1).tolist(), label_set.blank_id,
+        pred = remap_blank_predictions(np.argmax(q, axis=1), label_set.blank_id,
                                        policy=blank_policy)
         table[seq.id] = (pred, seq.frame_labels, None if pos_id is None else q[:, pos_id])
 

@@ -7,7 +7,9 @@ workload's config, and evaluates the trained model on the held-out file
 once.  For each of the two phases it prints the number of runs (stacks)
 that ``stacks`` yielded to each caller: the chain pass
 (``forward_backward_batch``), the CTC lattice
-(``ctc_forward_backward_batch``) and the adjoint (``fb_adjoint_batch``).
+(``ctc_forward_backward_batch``), the adjoint (``fb_adjoint_batch``) and
+the frame objective (``ldcrf_frame_objective``, which scans its free and
+restricted tables itself: frame-wise training and the pretraining stage).
 ``stacks`` is wrapped from here, whatever its signature, so neither
 ``src/`` nor ``perfbench/`` changes.  It is not a test (pytest does not
 collect it) and asserts nothing.  Run from the repository root:
@@ -30,10 +32,11 @@ from gen import write_split  # noqa: E402
 import seqcrf  # noqa: E402
 import seqcrf.chain as chain  # noqa: E402
 import seqcrf.ctc as ctc  # noqa: E402
+import seqcrf.ldcrf as ldcrf  # noqa: E402
 
 NAMES = ("ctc_short", "twostage_pieces")
 CALLERS = {"chain": "forward_backward_batch", "lattice": "ctc_forward_backward_batch",
-           "adjoint": "fb_adjoint_batch"}
+           "adjoint": "fb_adjoint_batch", "frame": "ldcrf_frame_objective"}
 SEED = 1
 
 
@@ -66,7 +69,7 @@ def phases(name, runs):
 
 def main():
     runs = collections.Counter()
-    chain.stacks = ctc.stacks = counting(runs, chain.stacks)
+    chain.stacks = ctc.stacks = ldcrf.stacks = counting(runs, chain.stacks)
     print(f"{'workload':16s} {'phase':9s} " + " ".join(f"{c:>8s}" for c in CALLERS), flush=True)
     for name in NAMES:
         for phase in phases(name, runs):

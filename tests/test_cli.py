@@ -330,6 +330,22 @@ class TestTrain:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("entry", ["api", "cli"])
+    def test_header_error_names_the_header_line(self, tmp_path, capsys, entry):
+        # blank lines are skipped, so the header here is line 2
+        data = tmp_path / "data.jsonl"
+        data.write_text('\n{"labels": ["A"], "dim": 0}\n')
+        message = "line 2: 'dim' must be a positive integer"
+        if entry == "api":
+            with pytest.raises(DatasetFormatError, match=message):
+                load_dataset(data)
+            return
+        code = run("train", "--data", str(data), "--out", str(tmp_path / "m.json"),
+                   "--mode", "frame_wise", "--epochs", "1")
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
     def test_flags_override_config_file(self, tiny_data, tmp_path):
         conf = tmp_path / "conf.json"
         conf.write_text('{"epochs": 1, "seed": 4, "hidden_per_label": 3}')

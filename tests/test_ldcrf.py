@@ -1,11 +1,11 @@
 """Latent-block layer: label marginals, restricted likelihood, decoding."""
 import itertools
 import math
-import weakref
 
 import numpy as np
 import pytest
 
+import seqcrf.chain as chain_mod
 import seqcrf.ldcrf as ldcrf_mod
 from seqcrf.chain import forward_backward, masked_forward_backward, transition_counts
 from seqcrf.features import FeatureConfig, HiddenStateMap, ModelParams, observation_matrix
@@ -52,6 +52,35 @@ def enumeration_log_lik(scores, trans, owner, labels):
         if all(owner[s] == labels[j] for j, s in enumerate(path)):
             num += w
     return math.log(num) - math.log(den)
+
+
+def one_table_objective(batch, params, hidden_map, config, l2):
+    """The frame objective from separate one-table passes, sequence by sequence."""
+    trans = params.trans_weights
+    loss = 0.0
+    grad_state, grad_trans = np.zeros_like(params.state_weights), np.zeros_like(trans)
+    for seq in batch:
+        obs = observation_matrix(seq, config)
+        scores = obs @ params.state_weights.T
+        allowed = hidden_map.state_owner()[None, :] == np.array(seq.frame_labels)[:, None]
+        free = forward_backward(scores, trans)
+        restricted = masked_forward_backward(scores, trans, allowed)
+        loss += free.log_z - restricted.log_z
+        grad_state += (free.node_marginals - restricted.node_marginals).T @ obs
+        grad_trans += transition_counts(free, trans) - transition_counts(restricted, trans)
+    theta = params.flatten()
+    loss += l2 * float(theta @ theta)
+    return loss, np.concatenate([grad_state.ravel(), grad_trans.ravel()]) + 2 * l2 * theta
+
+
+def assert_matches_one_table_passes(batch, params, hidden_map, config, grad_rtol=1e-11):
+    """The stacked objective agrees with ``one_table_objective``: the loss within
+    1e-12 relative, the gradient within grad_rtol * max(1, max |reference|)."""
+    loss, grad = ldcrf_frame_objective(batch, params, hidden_map, config, l2=1e-3)
+    ref_loss, ref_grad = one_table_objective(batch, params, hidden_map, config, l2=1e-3)
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    scale = max(1.0, float(np.max(np.abs(ref_grad))))
+    assert float(np.max(np.abs(grad - ref_grad))) <= grad_rtol * scale
 
 
 class TestLabelMarginals:
@@ -181,48 +210,81 @@ class TestFrameObjective:
         assert loss_ab == pytest.approx(loss_a + loss_b, abs=1e-10)
         np.testing.assert_allclose(grad_ab, grad_a + grad_b, atol=1e-10)
 
-    def test_one_chain_call_per_batch_equals_one_table_passes(self, monkeypatch):
-        # both chains of every sequence go through one forward_backward_batch
-        # call, whose posteriors are read pairwise as they come; loss and
-        # gradient are bit for bit those of separate one-table passes
-        rng = np.random.default_rng(72)
-        _, params, hidden_map, config = make_instance(rng, 1, num_labels=3, h=2)
+    # the batch's lengths; the objective stacks them and must match one-table passes
+    LENGTHS = (1, 4, 9, 2, 6, 3)
+
+    def scaled_batch(self, rng, scale, num_labels=3, h=2, lengths=LENGTHS):
+        """A batch and params whose state and transition weights are uniform in
+        [-scale, scale]: node scores reach several times ``scale``."""
+        _, params, hidden_map, config = make_instance(rng, 1, num_labels, h, scale=scale)
         batch = [Sequence(id=f"s{i}", frames=rng.normal(size=(t, 3)),
+                          frame_labels=[int(a) for a in rng.integers(0, num_labels, size=t)])
+                 for i, t in enumerate(lengths)]
+        return batch, params, hidden_map, config
+
+    @pytest.mark.parametrize("scale", [1.0, 10.0, 100.0])
+    def test_matches_one_table_passes(self, scale):
+        rng = np.random.default_rng(72)
+        assert_matches_one_table_passes(*self.scaled_batch(rng, scale))
+
+    def test_log_domain_fallback_table_matches(self, monkeypatch):
+        # one sequence's frames scaled 300-fold: exactly one of its tables has
+        # scaled messages that are not finite and is rerun in the log domain,
+        # while the transitions (spread 567) keep the factored counts
+        reruns = []
+        log_messages = chain_mod._log_messages
+
+        def spy(scores, trans):
+            reruns.append(len(scores))
+            return log_messages(scores, trans)
+
+        monkeypatch.setattr(chain_mod, "_log_messages", spy)
+        rng = np.random.default_rng(0)
+        _, params, hidden_map, config = make_instance(rng, 1, 3, 2, scale=1.0)
+        params = ModelParams(params.state_weights, rng.uniform(-300, 300, size=(6, 6)))
+        batch = [Sequence(id=f"s{i}", frames=rng.normal(size=(t, 3)) * (300.0 if t == 9 else 1.0),
                           frame_labels=[int(a) for a in rng.integers(0, 3, size=t)])
-                 for i, t in enumerate((1, 4, 9, 2, 6, 3))]
-        real = ldcrf_mod.forward_backward_batch
-        calls, alive = [], []
+                 for i, t in enumerate(self.LENGTHS)]
+        assert np.ptp(params.trans_weights) <= 600.0
+        ldcrf_frame_objective(batch, params, hidden_map, config)
+        assert reruns == [9]
+        assert_matches_one_table_passes(batch, params, hidden_map, config)
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            live = []
-            for post in real(*args, **kwargs):
-                live = [ref for ref in live if ref() is not None] + [weakref.ref(post)]
-                alive.append(len(live))
-                yield post
+    def test_stacks_split_by_the_budget_match(self, monkeypatch):
+        # a budget of 700 cells holds about one sequence's tables (8 * T * H):
+        # the batch runs as several stacks, each scanned on its own
+        monkeypatch.setattr(chain_mod, "_STACK_CELLS", 700)
+        runs = []
 
-        monkeypatch.setattr(ldcrf_mod, "forward_backward_batch", counting)
-        loss, grad = ldcrf_frame_objective(batch, params, hidden_map, config, l2=1e-3)
-        assert len(calls) == 1
-        assert len(alive) == 2 * len(batch) and max(alive) <= 4
+        def counted(items, shape):
+            for run in chain_mod.stacks(items, shape):
+                runs.append(len(run))
+                yield run
 
-        trans = params.trans_weights
-        ref_loss = 0.0
-        ref_state, ref_trans = np.zeros_like(params.state_weights), np.zeros_like(trans)
-        for seq in batch:
-            obs = observation_matrix(seq, config)
-            scores = obs @ params.state_weights.T
-            allowed = hidden_map.state_owner()[None, :] == np.array(seq.frame_labels)[:, None]
-            free = forward_backward(scores, trans)
-            restricted = masked_forward_backward(scores, trans, allowed)
-            ref_loss += free.log_z - restricted.log_z
-            ref_state += (free.node_marginals - restricted.node_marginals).T @ obs
-            ref_trans += transition_counts(free, trans) - transition_counts(restricted, trans)
-        theta = params.flatten()
-        ref_loss += 1e-3 * float(theta @ theta)
-        ref_grad = np.concatenate([ref_state.ravel(), ref_trans.ravel()]) + 2e-3 * theta
-        assert loss == ref_loss
-        assert np.array_equal(grad, ref_grad)
+        monkeypatch.setattr(ldcrf_mod, "stacks", counted)
+        rng = np.random.default_rng(73)
+        assert_matches_one_table_passes(*self.scaled_batch(rng, 1.0))
+        assert len(runs) > 1 and sum(runs) == len(self.LENGTHS) and max(runs) > 1
+
+    def test_long_chains_with_wide_transitions_take_the_exp_form(self, monkeypatch):
+        # T in the thousands, weights in [-500, 500]: the transitions spread over
+        # more than 600, so every table's counts come from transition_counts;
+        # the bound on the gradient is TestLongChains' bound on the marginals
+        counted = []
+        counts = ldcrf_mod.transition_counts
+        monkeypatch.setattr(ldcrf_mod, "transition_counts",
+                            lambda post, trans: counted.append(1) or counts(post, trans))
+        rng = np.random.default_rng(14)
+        batch, params, hidden_map, config = self.scaled_batch(
+            rng, 500.0, num_labels=7, h=2, lengths=(4000, 1500))
+        for seq in batch:  # labels in runs of 50 frames, as in segmented data
+            seq.frame_labels = np.repeat(seq.frame_labels[::50], 50).tolist()
+        assert np.ptp(params.trans_weights) > 600.0
+        log_z = abs(forward_backward(observation_matrix(batch[0], config)
+                                     @ params.state_weights.T, params.trans_weights).log_z)
+        bound = max(1e-9, 4 * math.sqrt(4000) * np.finfo(float).eps * log_z)
+        assert_matches_one_table_passes(batch, params, hidden_map, config, grad_rtol=bound)
+        assert len(counted) == 2 * len(batch)
 
     def test_zero_l2_zero_data_gradient_at_symmetry(self):
         # a single frame with uniform scores: the free and restricted
