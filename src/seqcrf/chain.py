@@ -10,21 +10,20 @@ pass.  The scan carries probabilities rescaled to unit sum every frame
 (Rabiner 1989); a table whose scaled messages under- or overflow, as
 score magnitudes in the hundreds can make them, is rerun alone in the log
 domain.  Each table's posteriors are bit for bit those of its own
-one-table pass, which is all ``forward_backward`` and
-``masked_forward_backward`` run.  The posteriors view the pass's whole
-(T_max, B, H) arrays (``_stacked``, which the frame objective reads
-directly) and carry the log messages so that ``fb_adjoint`` reuses them;
-no per-frame (T-1, H, H) edge table is kept.  ``fb_adjoint_batch`` stacks
-a batch's adjoints in one frame loop.  The log-domain fallback and
-Viterbi's max are each one call to ``scan``; a backward one scans the
-reversed inputs.
+one-table pass, which is all ``forward_backward`` runs.  ``_stacked`` is
+that pass over whole (T_max, B, H) arrays, which the posteriors view;
+``masked_forward_backward`` (one table, ``_restrict``-ed) and the frame
+objective call it directly.  Posteriors carry their scores and log messages,
+so ``fb_adjoint_batch`` stacks a batch's adjoints in one frame loop from
+them alone; no per-frame (T-1, H, H) edge table is kept.  The log-domain
+fallback and Viterbi's max are each one call to ``scan``; a backward one
+scans the reversed inputs.
 
 Conventions: trans[a, b] scores a transition from state a at position j
 to state b at position j+1.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -146,17 +145,11 @@ def stacks(items: Iterable, shape) -> Iterator[list]:
         yield run
 
 
-def _table(scores: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    """Finite ``scores`` as float64, -inf where a given ``mask`` is False."""
-    scores = _finite("node_scores", scores)
-    if mask is None:
-        return scores
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != scores.shape:
-        raise ValueError("allowed mask must match node_scores shape")
-    if not np.all(mask.any(axis=1)):
+def _restrict(scores: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    """``scores`` with -inf where ``allowed`` is False; every frame must keep a state."""
+    if not allowed.any(axis=-1).all():
         raise ValueError("every frame needs at least one allowed state")
-    return np.where(mask, scores, -np.inf)
+    return np.where(allowed, scores, -np.inf)
 
 
 def _stacked(tables: list[np.ndarray], trans: np.ndarray, scratch: list) -> tuple[np.ndarray, ...]:
@@ -192,28 +185,22 @@ def _stacked(tables: list[np.ndarray], trans: np.ndarray, scratch: list) -> tupl
     return alpha, beta, node, log_z
 
 
-def forward_backward_batch(
-    node_scores: Iterable[np.ndarray],
-    trans_weights: np.ndarray,
-    allowed: Iterable[np.ndarray] | None = None,
-) -> Iterator[ChainPosteriors]:
-    """Posteriors of each (T_i, H) score table in turn, each bit for bit
-    what a pass over that table alone gives.
+def forward_backward_batch(node_scores: Iterable[np.ndarray],
+                           trans_weights: np.ndarray) -> Iterator[ChainPosteriors]:
+    """Posteriors of each (T_i, H) score table in turn, each bit for bit what
+    a pass over that table alone gives; a float64 table is its node_scores.
 
-    ``allowed`` optionally gives each table a (T_i, H) mask: disallowed
-    states get zero marginal mass exactly, and log_z is the log partition
-    of the restricted chain.  The tables of a pass are stacked time-major,
-    zero-padded past their ends, and each pass is one ``_scaled_messages``
-    scan, whose inputs and messages, each (T_max, 2, B, H), count against
-    ``_STACK_CELLS`` (a longer table is a pass of its own).  Its messages
-    live until the last of its posteriors is dropped; the scratch that
-    holds its inputs is allocated once per call and reused by every pass.
-    FloatingPointError unless every marginal row sums to 1 within 1e-6.
+    The tables of a pass are stacked time-major, zero-padded past their ends,
+    and each pass is one ``_scaled_messages`` scan, whose inputs and messages,
+    each (T_max, 2, B, H), count against ``_STACK_CELLS`` (a longer table is a
+    pass of its own).  Its messages live until the last of its posteriors is
+    dropped; the scratch that holds its inputs is allocated once per call and
+    reused by every pass.  FloatingPointError unless every marginal row sums
+    to 1 within 1e-6.
     """
     trans = _finite("trans_weights", trans_weights)
     scratch = [np.empty(0)]
-    masks = itertools.repeat(None) if allowed is None else allowed
-    tables = itertools.starmap(_table, zip(node_scores, masks, strict=allowed is not None))
+    tables = (_finite("node_scores", scores) for scores in node_scores)
     for group in stacks(tables, lambda scores: (4, *scores.shape)):
         alpha, beta, node, log_z = _stacked(group, trans, scratch)
         for b, scores in enumerate(group):
@@ -235,7 +222,12 @@ def masked_forward_backward(
     Disallowed states receive zero marginal mass exactly; log_z is the
     log partition of the restricted chain.
     """
-    return next(forward_backward_batch([node_scores], trans_weights, [allowed]))
+    trans, scores = _finite("trans_weights", trans_weights), _finite("node_scores", node_scores)
+    if np.shape(allowed) != scores.shape:
+        raise ValueError("allowed mask must match node_scores shape")
+    table = _restrict(scores, np.asarray(allowed, dtype=bool))
+    alpha, beta, node, log_z = _stacked([table], trans, [np.empty(0)])
+    return ChainPosteriors(float(log_z[0]), node[:, 0], table, alpha[:, 0], beta[:, 0])
 
 
 def transition_counts(posteriors: ChainPosteriors, trans_weights: np.ndarray) -> np.ndarray:
@@ -268,18 +260,15 @@ def viterbi(node_scores: np.ndarray, trans_weights: np.ndarray) -> tuple[np.ndar
     return path, float(delta[t - 1, path[t - 1]])
 
 
-def _sweep_inputs(scores: np.ndarray, trans: np.ndarray, upstream: np.ndarray,
+def _sweep_inputs(trans: np.ndarray, upstream: np.ndarray,
                   posteriors: ChainPosteriors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One item's (weighted, r, q) for the adjoint's sweeps.  The softmax weights
     r[j, a, b] = P(h_{j+1}=b | h_j=a) and q[j-1, a, b] = P(h_{j-1}=a | h_j=b,
     frames 0..j) cannot underflow: each is one exp of differences of log messages."""
-    scores = _finite("node_scores", scores)
+    scores, log_alpha, log_beta = posteriors.node_scores, posteriors.log_alpha, posteriors.log_beta
     upstream = _finite("grad_node_marginals", upstream)
     if upstream.shape != scores.shape:
         raise ValueError("upstream gradient must match node_scores shape")
-    log_alpha, log_beta = posteriors.log_alpha, posteriors.log_beta
-    if log_alpha.shape != scores.shape or not np.all(np.isfinite(log_alpha)):
-        raise ValueError("posteriors must be forward_backward's output for node_scores")
     marg = posteriors.node_marginals
     weighted = upstream * marg
     r = np.exp(trans + (scores[1:] + log_beta[1:])[:, None, :] - log_beta[:-1, :, None])
@@ -290,19 +279,18 @@ def _sweep_inputs(scores: np.ndarray, trans: np.ndarray, upstream: np.ndarray,
 
 
 def fb_adjoint_batch(
-    node_scores: Iterable[np.ndarray],
-    trans_weights: np.ndarray,
-    grad_node_marginals: Iterable[np.ndarray],
+    trans_weights: np.ndarray, grad_node_marginals: Iterable[np.ndarray],
     posteriors: Iterable[ChainPosteriors],
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """``fb_adjoint`` of each item in turn, each bit for bit what a call on
-    that item alone gives.  A stack (its r and q, stacked and per item, hold
-    4 * B * T_max * H * H <= _STACK_CELLS cells) runs both sweeps in one
-    frame loop, each product its item's own (1, H) @ (H, H) or (H, H) @ (H, 1)
-    matmul: the forms that give ``v @ r`` and ``q @ v`` bit for bit."""
+    """``fb_adjoint`` of each item in turn, each bit for bit what a call on that
+    item alone gives, on its posteriors' node_scores (unchecked: a free pass).
+    A stack (its r and q, stacked and per item, hold 4 * B * T_max * H * H <=
+    _STACK_CELLS cells) runs both sweeps in one frame loop, each product its
+    item's own (1, H) @ (H, H) or (H, H) @ (H, 1) matmul: the forms that give
+    ``v @ r`` and ``q @ v`` bit for bit."""
     trans = _finite("trans_weights", trans_weights)
-    items = (_sweep_inputs(scores, trans, upstream, post) for scores, upstream, post
-             in zip(node_scores, grad_node_marginals, posteriors, strict=True))
+    items = (_sweep_inputs(trans, upstream, post)
+             for upstream, post in zip(grad_node_marginals, posteriors, strict=True))
     for group in stacks(items, lambda item: (4, len(item[0]), *trans.shape)):
         t_max, rows = max(len(w) for w, _, _ in group), len(group)
         # out[j + 1] holds the sweeps' inputs at step j until the step replaces them
@@ -337,11 +325,12 @@ def fb_adjoint(
     """Pull an upstream gradient on node marginals back onto the potentials.
 
     Given dL/d(node_marginals) for any scalar L, and the ``posteriors``
-    that ``forward_backward(node_scores, trans_weights)`` returned,
-    returns the exact dL/d(node_scores) and dL/d(trans_weights) by
-    reversing that pass's recursions over its own messages (nothing is
-    recomputed).  Cost O(T * H^2); each sweep carries one vector-matrix
-    product per frame.
+    that ``forward_backward(node_scores, trans_weights)`` returned (ValueError
+    unless their node_scores equal ``node_scores``), returns the exact
+    dL/d(node_scores) and dL/d(trans_weights) by reversing that pass's
+    recursions over its own scores and messages (nothing is recomputed).
+    Cost O(T * H^2); each sweep carries one vector-matrix product per frame.
     """
-    return next(fb_adjoint_batch([node_scores], trans_weights, [grad_node_marginals],
-                                 [posteriors]))
+    if not np.array_equal(_finite("node_scores", node_scores), posteriors.node_scores):
+        raise ValueError("posteriors must be forward_backward's output for node_scores")
+    return next(fb_adjoint_batch(trans_weights, [grad_node_marginals], [posteriors]))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,9 +202,9 @@ class Checkpoint:
         theta = payload["theta"]
         if not isinstance(theta, list) or not all(type(x) in (int, float) for x in theta):
             raise DatasetFormatError("theta must be a flat list of numbers")
-        theta = np.asarray(theta, dtype=np.float64)
-        if not np.all(np.isfinite(theta)):
+        if not all(abs(x) <= sys.float_info.max for x in theta):  # NaN, inf, ints beyond float64
             raise DatasetFormatError("theta must be finite")
+        theta = np.asarray(theta, dtype=np.float64)
         hidden_map = HiddenStateMap(label_set.num_labels, ints["states_per_label"])
         feature_config = FeatureConfig(input_dim=ints["input_dim"], window=ints["window"])
         params = ModelParams.unflatten(theta, hidden_map.num_states, feature_config.obs_dim)

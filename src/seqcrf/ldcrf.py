@@ -13,6 +13,7 @@ import numpy as np
 from .chain import (
     ChainPosteriors,
     _finite,
+    _restrict,
     _stacked,
     forward_backward,
     stacks,
@@ -43,6 +44,40 @@ def label_marginals(
     return frame_label_marginals(posteriors, hidden_map)
 
 
+def _add_stack(group: list, weights: np.ndarray, trans: np.ndarray, owner: np.ndarray,
+               grad_state: np.ndarray, grad_trans: np.ndarray) -> float:
+    """Add a stack's terms to the two gradients; its free minus restricted log Z."""
+    h, b, lengths = len(trans), len(group), np.array([len(o) for _, o in group])
+    obs, labels = np.zeros((lengths.max(), b, weights.shape[1])), np.full((lengths.max(), b), -1)
+    for k, (y, o) in enumerate(group):
+        obs[:len(o), k], labels[:len(o), k] = o, y
+    live = np.arange(len(obs))[:, None] < lengths  # (T_max, B)
+    scores = _finite("node_scores", obs @ weights.T)
+    allowed = (owner == labels[..., None]) | ~live[..., None]
+    scores = np.concatenate([scores, _restrict(scores, allowed)], axis=1)  # 0 past ends
+    tables = [scores[:n, k] for k, n in enumerate(np.tile(lengths, 2))]
+    alpha, beta, node, log_z = _stacked(tables, trans, [np.empty(0)])
+    grad_state += (node[:, :b] - node[:, b:]).reshape(-1, h).T @ obs.reshape(-1, obs.shape[2])
+    if np.ptp(trans) > 600:
+        for k, table in enumerate(tables):
+            n = len(table)
+            post = ChainPosteriors(log_z[k], node[:n, k], table, alpha[:n, k], beta[:n, k])
+            grad_trans += (1 if k < b else -1) * transition_counts(post, trans)
+        return float(log_z[:b].sum() - log_z[b:].sum())
+    fwd, ahead, top = alpha[:-1], scores[1:] + beta[1:], trans.max()  # (T_max - 1, 2B, H)
+    fwd_max, ahead_max = fwd.max(axis=-1), ahead.max(axis=-1)
+    # an edge's mass exp(alpha[j, a] + trans[a, c] + ahead[j, c] - log Z) is at most 1,
+    # so the shift exp(fwd_max + ahead_max + top - log Z) is at most exp(ptp(trans))
+    shift = np.exp(np.where(np.tile(live[1:], 2), fwd_max + ahead_max + top - log_z, -np.inf))
+    shift[:, b:] *= -1.0
+    left = fwd - fwd_max[..., None]
+    right = np.exp(np.subtract(ahead, ahead_max[..., None], out=ahead), out=ahead)
+    right *= shift[..., None]
+    left = np.exp(left, out=left).reshape(-1, h)
+    grad_trans += np.exp(trans - top) * (left.T @ right.reshape(-1, h))
+    return float(log_z[:b].sum() - log_z[b:].sum())
+
+
 def ldcrf_frame_objective(
     batch: list[Sequence],
     params: ModelParams,
@@ -69,40 +104,11 @@ def ldcrf_frame_objective(
         if seq.frame_labels is None:
             raise ValueError(f"sequence {seq.id!r} has no frame_labels")
     trans, owner = _finite("trans_weights", params.trans_weights), hidden_map.state_owner()
-    h, top, exp_form, scratch = len(trans), trans.max(), np.ptp(trans) > 600, [np.empty(0)]
     grad_state, grad_trans, loss = np.zeros_like(params.state_weights), np.zeros_like(trans), 0.0
-    items = [(seq.frame_labels, observation_matrix(seq, config)) for seq in batch]
-    # each sequence's two tables count (4, T, H) cells apiece, as in forward_backward_batch
-    for group in stacks(items, lambda item: (8, len(item[1]), h)):
-        b, lengths = len(group), np.array([len(o) for _, o in group])
-        obs, labels = np.zeros((lengths.max(), b, config.obs_dim)), np.full((lengths.max(), b), -1)
-        for k, (y, o) in enumerate(group):
-            obs[:len(o), k], labels[:len(o), k] = o, y
-        live = np.arange(len(obs))[:, None] < lengths  # (T_max, B)
-        free = _finite("node_scores", obs @ params.state_weights.T)
-        allowed = (owner == labels[..., None]) | ~live[..., None]
-        if not allowed.any(axis=-1).all():
-            raise ValueError("every frame needs at least one allowed state")
-        scores = np.concatenate([free, np.where(allowed, free, -np.inf)], axis=1)  # 0 past ends
-        tables = [scores[:n, k] for k, n in enumerate(np.tile(lengths, 2))]
-        alpha, beta, node, log_z = _stacked(tables, trans, scratch)
-        loss += float(log_z[:b].sum() - log_z[b:].sum())
-        grad_state += (node[:, :b] - node[:, b:]).reshape(-1, h).T @ obs.reshape(-1, obs.shape[2])
-        if exp_form:
-            for k, table in enumerate(tables):
-                n = len(table)
-                post = ChainPosteriors(log_z[k], node[:n, k], table, alpha[:n, k], beta[:n, k])
-                grad_trans += (1 if k < b else -1) * transition_counts(post, trans)
-            continue
-        fwd, ahead = alpha[:-1], scores[1:] + beta[1:]  # (T_max - 1, 2B, H)
-        fwd_max, ahead_max = fwd.max(axis=-1), ahead.max(axis=-1)
-        # an edge's mass exp(alpha[j, a] + trans[a, c] + ahead[j, c] - log Z) is at most 1,
-        # so the shift exp(fwd_max + ahead_max + top - log Z) is at most exp(ptp(trans))
-        shift = np.exp(np.where(np.tile(live[1:], 2), fwd_max + ahead_max + top - log_z, -np.inf))
-        shift[:, b:] *= -1.0
-        left = np.exp(fwd - fwd_max[..., None]).reshape(-1, h)
-        right = (np.exp(ahead - ahead_max[..., None]) * shift[..., None]).reshape(-1, h)
-        grad_trans += np.exp(trans - top) * (left.T @ right)
+    items = ((seq.frame_labels, observation_matrix(seq, config)) for seq in batch)
+    # each frame of a stack holds <= 13 float rows of H, 2 of D, and its label and mask bits
+    for group in stacks(items, lambda i: (len(i[1]), 13 * len(trans) + 2 * config.obs_dim + 16)):
+        loss += _add_stack(group, params.state_weights, trans, owner, grad_state, grad_trans)
     theta = params.flatten()
     loss += l2 * float(theta @ theta)
     return loss, ModelParams(grad_state, grad_trans).flatten() + 2.0 * l2 * theta

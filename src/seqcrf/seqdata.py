@@ -13,6 +13,7 @@ import json
 import math
 import os
 import string
+import sys
 import tempfile
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence as SequenceT
@@ -405,8 +406,8 @@ class GeneratorConfig:
             lo, hi = rng_
             if lo > hi or lo < 1:
                 raise ValueError(f"invalid {name}: ({lo}, {hi})")
-        if self.noise < 0:
-            raise ValueError("noise must be >= 0")
+        if not 0 <= self.noise <= sys.float_info.max:  # NaN and inf fail
+            raise ValueError("noise must be finite and >= 0")
 
 
 def default_label_names(classes: int) -> list[str]:

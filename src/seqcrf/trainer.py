@@ -35,6 +35,7 @@ import dataclasses
 import json
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -120,22 +121,24 @@ class TrainConfig:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, _ACCEPTED_TYPES[f.type]):
                 raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
+            if f.type == "float" and not abs(value) <= sys.float_info.max:  # NaN, inf, huge ints
+                raise ValueError(f"{f.name} must be finite")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.grad_mode not in GRAD_MODES:
             raise ValueError(f"grad_mode must be one of {GRAD_MODES}, got {self.grad_mode!r}")
         if self.mode == "frame_wise" and self.grad_mode != "exact":
             raise ValueError("grad_mode only acts on the CTC objective; frame_wise takes 'exact'")
-        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
-            raise ValueError("learning_rate must be positive and finite")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must lie in [0, 1)")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not (self.l2 >= 0 and math.isfinite(self.l2)):
-            raise ValueError("l2 must be finite and >= 0")
+        if self.l2 < 0:
+            raise ValueError("l2 must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
         if self.window < 0:
@@ -145,7 +148,7 @@ class TrainConfig:
         if self.pretrain_epochs is not None and not 0 <= self.pretrain_epochs <= self.epochs:
             raise ValueError("pretrain_epochs must lie in [0, epochs]")
         # the initial weights are drawn from a range of width 2 * init_scale
-        if not (self.init_scale >= 0 and math.isfinite(2 * self.init_scale)):
+        if not (self.init_scale >= 0 and math.isfinite(2.0 * self.init_scale)):
             raise ValueError("init_scale must be >= 0 with 2 * init_scale finite")
 
     def stage_epochs(self) -> tuple[int, int]:
@@ -243,10 +246,9 @@ def ctc_ldcrf_loss_and_grad(
         except ValueError as exc:  # CtcInfeasibleError included
             rejected[i] = exc
     obs = [observation_matrix(seq, feature_config) for seq in batch]
-    scores = [o @ params.state_weights.T for o in obs]
-    posts = forward_backward_batch(scores, params.trans_weights)
-    forward = [(seq, o, s, post, frame_label_marginals(post, hidden_map))
-               for seq, o, s, post in zip(batch, obs, scores, posts)]
+    posts = forward_backward_batch((o @ params.state_weights.T for o in obs), params.trans_weights)
+    forward = [(seq, o, post, frame_label_marginals(post, hidden_map))
+               for seq, o, post in zip(batch, obs, posts)]
     # per-label factor on q; also scales the error table, since the prior
     # is a constant for the gradient
     if label_prior:
@@ -258,7 +260,7 @@ def ctc_ldcrf_loss_and_grad(
         [q for q, exc in zip(q_norms, rejected) if exc is None],
         [seq.label_seq for seq, exc in zip(batch, rejected) if exc is None], blank_id)
     loss, used = 0.0, []
-    for (seq, obs, scores, post, _), q_norm, exc in zip(forward, q_norms, rejected):
+    for (seq, obs, post, _), q_norm, exc in zip(forward, q_norms, rejected):
         if isinstance(exc, CtcInfeasibleError):
             logger.warning("sequence %s skipped: %s", seq.id, exc)
             continue
@@ -270,11 +272,11 @@ def ctc_ldcrf_loss_and_grad(
             continue
         loss -= tables.log_prob
         err = ctc_error_table(tables, q_norm) * scale  # d log P / d q, (T, L)
-        used.append((obs, scores, post, -err[:, owner]))  # d loss / d mu, (T, H)
+        used.append((obs, post, -err[:, owner]))  # d loss / d mu, (T, H)
     if not used:
         raise EmptyBatchError("every sequence in the batch was skipped; loss undefined")
-    obs, scores, posts, upstreams = zip(*used)
-    adjoints = fb_adjoint_batch(scores, params.trans_weights, upstreams, posts)
+    obs, posts, upstreams = zip(*used)
+    adjoints = fb_adjoint_batch(params.trans_weights, upstreams, posts)
     for o, post, upstream, (g_scores, g_trans) in zip(obs, posts, upstreams, adjoints):
         if grad_mode == "local":
             mu = post.node_marginals

@@ -172,36 +172,23 @@ class TestMaskedForwardBackward:
             masked_forward_backward(np.zeros((3, 2)), trans, np.ones((3, 2), bool))
 
 
-def random_tables(rng, h, count, masked):
-    """``count`` random (T, h) score tables, T in 1..120, and a mask for each
-    that keeps at least one state per frame (None unless ``masked``)."""
-    tables = [rng.normal(size=(int(rng.integers(1, 121)), h)) * 3.0 for _ in range(count)]
-    if not masked:
-        return tables, None
-    masks = []
-    for scores in tables:
-        mask = rng.random(scores.shape) < 0.5
-        mask[np.arange(len(scores)), rng.integers(0, h, size=len(scores))] = True
-        masks.append(mask)
-    return tables, masks
+def random_tables(rng, h, count):
+    """``count`` random (T, h) score tables, T in 1..120."""
+    return [rng.normal(size=(int(rng.integers(1, 121)), h)) * 3.0 for _ in range(count)]
 
 
 class TestBatch:
-    @pytest.mark.parametrize("masked", [False, True], ids=["free", "masked"])
     @pytest.mark.parametrize("cells", [1, 256, None], ids=["cap1", "cap256", "default"])
-    def test_equals_one_table_calls_bit_for_bit(self, monkeypatch, cells, masked):
+    def test_equals_one_table_calls_bit_for_bit(self, monkeypatch, cells):
         # a one-table call is a pass of its own at any cap
         if cells is not None:
             monkeypatch.setattr(chain_mod, "_STACK_CELLS", cells)
         rng = np.random.default_rng(31)
         for h in (1, 5, 14):
-            tables, masks = random_tables(rng, h, 12, masked)
+            tables = random_tables(rng, h, 12)
             trans = rng.normal(size=(h, h))
-            if masked:
-                ones = [masked_forward_backward(s, trans, m) for s, m in zip(tables, masks)]
-            else:
-                ones = [forward_backward(s, trans) for s in tables]
-            batch = list(forward_backward_batch(tables, trans, masks))
+            ones = [forward_backward(s, trans) for s in tables]
+            batch = list(forward_backward_batch(tables, trans))
             assert len(batch) == len(tables)
             for got, one in zip(batch, ones):
                 assert got.log_z == one.log_z
@@ -209,22 +196,12 @@ class TestBatch:
                     assert np.array_equal(getattr(got, field), getattr(one, field)), field
 
     @pytest.mark.parametrize("row", [0, 3, 6])
-    @pytest.mark.parametrize("fault, message", [
-        ("nan-scores", "node_scores must be finite"),
-        ("mask-shape", "allowed mask must match node_scores shape"),
-        ("empty-frame", "every frame needs at least one allowed state"),
-    ])
-    def test_any_row_raises_the_one_table_error(self, row, fault, message):
+    def test_any_row_raises_the_one_table_error(self, row):
         rng = np.random.default_rng(32)
-        tables, masks = random_tables(rng, 4, 7, masked=True)
-        if fault == "nan-scores":
-            tables[row][-1, 0] = np.nan
-        elif fault == "mask-shape":
-            masks[row] = masks[row][:, :-1]
-        else:
-            masks[row][len(masks[row]) // 2] = False
-        with pytest.raises(ValueError, match=message):
-            list(forward_backward_batch(tables, np.zeros((4, 4)), masks))
+        tables = random_tables(rng, 4, 7)
+        tables[row][-1, 0] = np.nan
+        with pytest.raises(ValueError, match="node_scores must be finite"):
+            list(forward_backward_batch(tables, np.zeros((4, 4))))
 
 
 class TestStacks:
@@ -273,7 +250,7 @@ class TestStacks:
         tables = [rng.normal(size=(t, 3)) for t in (4, 6, 5)]
         trans = rng.normal(size=(3, 3))
         posts = list(forward_backward_batch(tables, trans))
-        list(fb_adjoint_batch(tables, trans, [np.ones(s.shape) for s in tables], posts))
+        list(fb_adjoint_batch(trans, [np.ones(s.shape) for s in tables], posts))
         qs = [rng.dirichlet(np.ones(3), size=len(s)) for s in tables]
         list(ctc_forward_backward_batch(qs, [[0], [1, 0], [1]], blank_id=2))
         assert seen == runs * 3
@@ -299,7 +276,7 @@ class TestLogDomainFallback:
 
     def test_only_the_overflowing_table_reruns_bit_for_bit(self, reruns):
         rng = np.random.default_rng(33)
-        tables, _ = random_tables(rng, 14, 6, masked=False)
+        tables = random_tables(rng, 14, 6)
         tables[2] = tables[2] * (500.0 / 3.0)
         trans = rng.normal(size=(14, 14)) * 100.0
         batch = list(forward_backward_batch(tables, trans))
@@ -470,6 +447,8 @@ class TestAdjoint:
             fb_adjoint(scores, trans, np.zeros((2, 2)), post)
         with pytest.raises(ValueError):
             fb_adjoint(scores, trans, np.zeros((3, 2)), forward_backward(scores[:2], trans))
+        with pytest.raises(ValueError):  # posteriors of other scores of the same shape
+            fb_adjoint(scores, trans, np.zeros((3, 2)), forward_backward(scores + 1.0, trans))
 
     @pytest.mark.parametrize("cells", [1, None], ids=["cap1", "default"])
     def test_batch_equals_one_table_calls_bit_for_bit(self, monkeypatch, cells):
@@ -478,12 +457,12 @@ class TestAdjoint:
             monkeypatch.setattr(chain_mod, "_STACK_CELLS", cells)
         rng = np.random.default_rng(43)
         for h in (1, 5, 14):
-            tables, _ = random_tables(rng, h, 9, masked=False)
+            tables = random_tables(rng, h, 9)
             tables[1], tables[6] = tables[1][:1], tables[6][:1]  # T = 1
             trans = rng.normal(size=(h, h))
             upstreams = [rng.normal(size=scores.shape) for scores in tables]
             posts = list(forward_backward_batch(tables, trans))
-            batch = list(fb_adjoint_batch(tables, trans, upstreams, posts))
+            batch = list(fb_adjoint_batch(trans, upstreams, posts))
             assert len(batch) == len(tables)
             for got, scores, upstream, post in zip(batch, tables, upstreams, posts):
                 one = fb_adjoint(scores, trans, upstream, post)

@@ -73,6 +73,13 @@ class TestGen:
         code = run("gen", "--out", str(tmp_path / "x.jsonl"), "--classes", "1")
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("noise", ["inf", "nan"])
+    def test_non_finite_noise_is_config_error(self, tmp_path, capsys, noise):
+        code = run("gen", "--out", str(tmp_path / "x.jsonl"), "--noise", noise)
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: noise must be finite and >= 0\n"
+        assert not (tmp_path / "x.jsonl").exists()
+
 
 class TestTrain:
     def test_train_writes_checkpoint_and_report(self, tiny_data, tmp_path):
@@ -253,6 +260,17 @@ class TestTrain:
                    "--out", str(tmp_path / "m.json"))
         assert code == EXIT_IO
 
+    @pytest.mark.parametrize("key", ["learning_rate", "init_scale"])
+    def test_config_integer_beyond_float64_is_config_error(self, tiny_data, tmp_path, capsys,
+                                                           key):
+        conf = tmp_path / "conf.json"
+        conf.write_text(f'{{"{key}": 1{"0" * 400}}}')
+        code = run("train", "--data", str(tiny_data), "--out", str(tmp_path / "m.json"),
+                   "--config", str(conf))
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {key} must be finite\n"
+        assert not (tmp_path / "m.json").exists()
+
     def test_unknown_config_key_in_file_is_config_error(self, tiny_data, tmp_path, capsys):
         conf = tmp_path / "conf.json"
         conf.write_text('{"learning_rte": 0.1}')
@@ -432,10 +450,11 @@ class TestEvalAndDecode:
         assert code == EXIT_CONFIG
         assert "'nope'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity",
+                                       pytest.param("1" + "0" * 400, id="int-beyond-float64")])
     def test_non_finite_checkpoint_weight_is_io_error(self, tiny_data, trained, capsys, value):
         payload = json.loads(trained.read_text())
-        payload["theta"][0] = float(value)
+        payload["theta"][0] = json.loads(value)
         trained.write_text(json.dumps(payload))
         for command in ("eval", "decode"):
             assert run(command, "--data", str(tiny_data), "--model", str(trained)) == EXIT_IO

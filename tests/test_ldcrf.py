@@ -1,6 +1,7 @@
 """Latent-block layer: label marginals, restricted likelihood, decoding."""
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -251,9 +252,10 @@ class TestFrameObjective:
         assert_matches_one_table_passes(batch, params, hidden_map, config)
 
     def test_stacks_split_by_the_budget_match(self, monkeypatch):
-        # a budget of 700 cells holds about one sequence's tables (8 * T * H):
-        # the batch runs as several stacks, each scanned on its own
-        monkeypatch.setattr(chain_mod, "_STACK_CELLS", 700)
+        # a budget of 1,500 cells holds about 15 frames of this batch (H = 6 and
+        # D = 4 count 13 H + 2 D + 16 cells a frame): the batch runs as several
+        # stacks, each scanned on its own
+        monkeypatch.setattr(chain_mod, "_STACK_CELLS", 1500)
         runs = []
 
         def counted(items, shape):
@@ -265,6 +267,28 @@ class TestFrameObjective:
         rng = np.random.default_rng(73)
         assert_matches_one_table_passes(*self.scaled_batch(rng, 1.0))
         assert len(runs) > 1 and sum(runs) == len(self.LENGTHS) and max(runs) > 1
+
+    @pytest.mark.parametrize("count", [24, 48])
+    def test_budget_full_batches_peak_within_the_budget(self, count):
+        # T = 48 with H = 14 and D = 13, the benchmark model's size: 24 sequences fill
+        # one stack, 48 fill two; every array the objective makes counts, the
+        # observations included, and a stack's arrays are gone when the next one runs
+        rng = np.random.default_rng(75)
+        hidden_map, config = HiddenStateMap(7, 2), FeatureConfig(input_dim=4, window=1)
+        params = ModelParams.random_init(hidden_map.num_states, config.obs_dim, seed=0,
+                                         scale=0.1)
+        batch = [Sequence(id=f"s{i}", frames=rng.normal(size=(48, 4)),
+                          frame_labels=[int(a) for a in rng.integers(0, 6, size=48)])
+                 for i in range(count)]
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ldcrf_frame_objective(batch, params, hidden_map, config)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= chain_mod._STACK_CELLS * 8 + 64 * 1024
 
     def test_long_chains_with_wide_transitions_take_the_exp_form(self, monkeypatch):
         # T in the thousands, weights in [-500, 500]: the transitions spread over

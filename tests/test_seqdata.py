@@ -268,8 +268,9 @@ class TestGenerator:
             GeneratorConfig(classes=1)
         with pytest.raises(ValueError):
             GeneratorConfig(seg_len_range=(5, 3))
-        with pytest.raises(ValueError):
-            GeneratorConfig(noise=-0.1)
+        for noise in (-0.1, math.inf, math.nan, 10**400):
+            with pytest.raises(ValueError, match="noise must be finite"):
+                GeneratorConfig(noise=noise)
         with pytest.raises(ValueError):
             GeneratorConfig(gap_len_range=(0, 2))
 

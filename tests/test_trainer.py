@@ -332,6 +332,10 @@ class TestTrainConfig:
             dict(learning_rate="0.1"),
             dict(momentum=None),
             dict(epochs=True),  # a bool is an int to Python, not to the config
+            dict(init_scale=10**308),  # an int whose double overflows as a float
+            dict(learning_rate=10**400),  # ints beyond float64
+            dict(l2=10**400),
+            dict(init_scale=10**400),
         ],
     )
     def test_rejects_bad_values(self, kw):
