@@ -283,7 +283,7 @@ def fb_adjoint_batch(
     posteriors: Iterable[ChainPosteriors],
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """``fb_adjoint`` of each item in turn, each bit for bit what a call on that
-    item alone gives, on its posteriors' node_scores (unchecked: a free pass).
+    item alone gives, on its posteriors' node_scores (not re-checked: a pass made them).
     A stack (its r and q, stacked and per item, hold 4 * B * T_max * H * H <=
     _STACK_CELLS cells) runs both sweeps in one frame loop, each product its
     item's own (1, H) @ (H, H) or (H, H) @ (H, 1) matmul: the forms that give

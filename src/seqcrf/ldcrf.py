@@ -71,9 +71,9 @@ def _add_stack(group: list, weights: np.ndarray, trans: np.ndarray, owner: np.nd
     shift = np.exp(np.where(np.tile(live[1:], 2), fwd_max + ahead_max + top - log_z, -np.inf))
     shift[:, b:] *= -1.0
     left = fwd - fwd_max[..., None]
+    left = np.exp(left, out=left).reshape(-1, h)
     right = np.exp(np.subtract(ahead, ahead_max[..., None], out=ahead), out=ahead)
     right *= shift[..., None]
-    left = np.exp(left, out=left).reshape(-1, h)
     grad_trans += np.exp(trans - top) * (left.T @ right.reshape(-1, h))
     return float(log_z[:b].sum() - log_z[b:].sum())
 
